@@ -85,6 +85,8 @@ CpuTopology g_topology;        // guarded by g_topology_mu
 bool g_topology_set = false;   // guarded by g_topology_mu
 
 thread_local int t_numa_node = -1;
+// The pool the calling thread works for (null off-pool).
+thread_local const ThreadPool* t_worker_pool = nullptr;
 
 #if PCOR_HAS_AFFINITY
 // Pins the calling thread to the CPU set of `node`; best-effort (failure
@@ -146,32 +148,47 @@ ThreadPoolOptions DefaultThreadPoolOptions() {
   return options;
 }
 
-ThreadPool::ThreadPool(size_t num_threads, ThreadPoolOptions options) {
-  PCOR_CHECK(num_threads > 0) << "ThreadPool requires at least one thread";
+ThreadPool::ThreadPool(size_t num_threads, ThreadPoolOptions options)
+    : options_(options) {
+  Reserve(num_threads);
+}
+
+void ThreadPool::Reserve(size_t num_threads) {
+  std::lock_guard<std::mutex> grow_lock(grow_mu_);
+  if (workers_.size() >= num_threads) return;
   const CpuTopology& topology = SystemTopology();
+  const bool pin_nodes = options_.pin_to_numa_nodes;
   const size_t num_nodes =
-      options.pin_to_numa_nodes ? std::max<size_t>(topology.num_nodes, 1) : 1;
+      pin_nodes ? std::max<size_t>(topology.num_nodes, 1) : 1;
+  const bool pin = pin_nodes && topology.num_nodes > 1;
   workers_.reserve(num_threads);
   worker_nodes_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
+  for (size_t i = workers_.size(); i < num_threads; ++i) {
     // Round-robin across nodes so every socket gets an even worker share.
-    worker_nodes_.push_back(options.pin_to_numa_nodes ? i % num_nodes : 0);
-  }
-  for (size_t i = 0; i < num_threads; ++i) {
-    const bool pin = options.pin_to_numa_nodes && topology.num_nodes > 1;
-    workers_.emplace_back([this, i, pin] {
+    const size_t node = pin_nodes ? i % num_nodes : 0;
+    worker_nodes_.push_back(node);
+    workers_.emplace_back([this, node, pin] {
       if (pin) {
 #if PCOR_HAS_AFFINITY
-        PinSelfToNode(SystemTopology(), worker_nodes_[i]);
+        PinSelfToNode(SystemTopology(), node);
 #endif
       }
       // Record the association even when the affinity syscall is
       // unavailable, so node-local cache routing still spreads load the
       // way the placement intended.
-      SetCurrentThreadNumaNode(static_cast<int>(worker_nodes_[i]));
-      WorkerLoop(i);
+      SetCurrentThreadNumaNode(static_cast<int>(node));
+      t_worker_pool = this;
+      WorkerLoop();
     });
   }
+  num_workers_.store(workers_.size(), std::memory_order_release);
+}
+
+bool ThreadPool::IsWorkerThread() const { return t_worker_pool == this; }
+
+size_t ThreadPool::worker_node(size_t i) const {
+  std::lock_guard<std::mutex> grow_lock(grow_mu_);
+  return worker_nodes_[i];
 }
 
 ThreadPool::~ThreadPool() {
@@ -198,8 +215,7 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  (void)worker_index;
+void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
     {
@@ -227,8 +243,24 @@ void ThreadPool::ParallelFor(size_t n, size_t max_parallel,
   if (n == 0) return;
   if (max_parallel == 0) max_parallel = num_threads() + 1;
   // The caller is one of the executing threads; helpers come from the pool.
-  const size_t helpers =
-      std::min({num_threads(), max_parallel - 1, n - 1});
+  Scatter(n, std::min({num_threads(), max_parallel - 1, n - 1}),
+          /*caller_drains=*/true, fn);
+}
+
+void ThreadPool::RunOnWorkers(size_t n, size_t max_parallel,
+                              const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  if (IsWorkerThread()) {
+    ParallelFor(n, max_parallel, fn);
+    return;
+  }
+  if (max_parallel == 0) max_parallel = num_threads();
+  Scatter(n, std::min({num_threads(), max_parallel, n}),
+          /*caller_drains=*/false, fn);
+}
+
+void ThreadPool::Scatter(size_t n, size_t helpers, bool caller_drains,
+                         const std::function<void(size_t)>& fn) {
   if (helpers == 0) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -256,9 +288,9 @@ void ThreadPool::ParallelFor(size_t n, size_t max_parallel,
     }
   };
   for (size_t w = 0; w < helpers; ++w) Submit(drain);
-  // Caller participation is the deadlock-freedom argument: even if no
-  // worker ever becomes free, this thread drains every index itself.
-  drain();
+  // Caller participation is ParallelFor's deadlock-freedom argument: even
+  // if no worker ever becomes free, this thread drains every index itself.
+  if (caller_drains) drain();
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) >= n;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -53,8 +54,9 @@ struct ThreadPoolOptions {
 /// the default keeps the placement-blind behavior.
 ThreadPoolOptions DefaultThreadPoolOptions();
 
-/// \brief Fixed-size worker pool for embarrassingly parallel experiment
-/// trials (the paper repeats every configuration 200 times).
+/// \brief Worker pool for embarrassingly parallel experiment trials (the
+/// paper repeats every configuration 200 times). Starts with `num_threads`
+/// workers — possibly none — and only grows, through Reserve.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads,
@@ -69,6 +71,14 @@ class ThreadPool {
 
   /// \brief Blocks until every submitted task has finished.
   void Wait();
+
+  /// \brief Adds workers until the pool has at least `num_threads`; never
+  /// removes any. Thread-safe against every other member except the
+  /// destructor. New workers continue the round-robin node placement.
+  void Reserve(size_t num_threads);
+
+  /// \brief Whether the calling thread is one of this pool's workers.
+  bool IsWorkerThread() const;
 
   /// \brief Deterministic scatter-gather over [0, n): runs fn(i) for every
   /// i exactly once across the pool's workers plus the calling thread, and
@@ -95,17 +105,38 @@ class ThreadPool {
   void ParallelFor(size_t n, size_t max_parallel,
                    const std::function<void(size_t)>& fn);
 
-  size_t num_threads() const { return workers_.size(); }
+  /// \brief Same contract as ParallelFor, except that the calling thread
+  /// executes none of the fn(i): up to `max_parallel` workers (0 = all)
+  /// drain the range while the caller blocks on a latch of this call
+  /// alone — unlike Wait(), unrelated tasks never delay its return. Keeping
+  /// the caller idle keeps its thread_local scratch (population buffers,
+  /// detector work arrays) unallocated. Called from one of this pool's own
+  /// workers it runs as ParallelFor, whose caller participation is what
+  /// rules out the worker waiting on itself; on a pool with no workers the
+  /// caller runs the range serially.
+  void RunOnWorkers(size_t n, size_t max_parallel,
+                    const std::function<void(size_t)>& fn);
+
+  size_t num_threads() const {
+    return num_workers_.load(std::memory_order_acquire);
+  }
 
   /// \brief The NUMA node worker `i` is associated with (0 when pinning is
   /// off or the host has one node).
-  size_t worker_node(size_t i) const { return worker_nodes_[i]; }
+  size_t worker_node(size_t i) const;
 
  private:
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
+  // Runs fn over [0, n) on `helpers` submitted drain tasks, plus the
+  // caller when `caller_drains`, and returns once all n calls completed.
+  void Scatter(size_t n, size_t helpers, bool caller_drains,
+               const std::function<void(size_t)>& fn);
 
+  const ThreadPoolOptions options_;
+  mutable std::mutex grow_mu_;  // serializes Reserve; guards the two below
   std::vector<std::thread> workers_;
   std::vector<size_t> worker_nodes_;
+  std::atomic<size_t> num_workers_{0};
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;

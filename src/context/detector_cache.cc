@@ -18,12 +18,15 @@ LruCacheOptions ToCacheOptions(const VerifierOptions& options) {
   return cache_options;
 }
 
-// Approximate footprint of one memoized result: the outlier row ids plus
-// the shared_ptr control block. The cache adds its own per-entry overhead
-// (key + node + hash-table bookkeeping) on top.
-size_t ApproxResultBytes(const std::vector<uint32_t>& outliers) {
-  return sizeof(std::vector<uint32_t>) +
-         outliers.capacity() * sizeof(uint32_t) + 2 * sizeof(void*);
+// Approximate footprint of one memoized entry: the population size, plus
+// the outlier row ids and their shared_ptr control block when there are
+// any. The cache adds its own per-entry overhead (key + node + hash-table
+// bookkeeping) on top.
+size_t ApproxEntryBytes(
+    const std::shared_ptr<const std::vector<uint32_t>>& outliers) {
+  if (outliers == nullptr) return sizeof(size_t);
+  return sizeof(size_t) + sizeof(std::vector<uint32_t>) +
+         outliers->capacity() * sizeof(uint32_t) + 2 * sizeof(void*);
 }
 
 }  // namespace
@@ -53,41 +56,56 @@ OutlierVerifier::OutlierVerifier(const PopulationProbe& index,
       memo_(std::move(memo)),
       epoch_(epoch) {}
 
-bool OutlierVerifier::IsOutlierInContext(const ContextVec& c,
-                                         uint32_t v_row) const {
+OutlierEvaluation OutlierVerifier::Evaluate(const ContextVec& c,
+                                            uint32_t v_row) const {
   // Fast precheck: V must belong to D_C at all (one bit test per attribute).
-  if (!index_->ContextContainsRow(c, v_row)) return false;
-  auto outliers = OutliersInContext(c);
-  return std::binary_search(outliers->begin(), outliers->end(), v_row);
+  if (!index_->ContextContainsRow(c, v_row)) return {};
+  const Entry entry = Lookup(c);
+  const bool flagged =
+      entry.outliers != nullptr &&
+      std::binary_search(entry.outliers->begin(), entry.outliers->end(),
+                         v_row);
+  return {flagged, entry.population};
 }
 
 std::shared_ptr<const std::vector<uint32_t>>
 OutlierVerifier::OutliersInContext(const ContextVec& c) const {
-  if (!options_.enable_cache) return Compute(c);
-  const VerifierCacheKey key{epoch_, c};
-  ResultPtr cached;
-  if (memo_->cache_.Get(key, &cached)) return cached;
-  ResultPtr computed = Compute(c);
-  memo_->cache_.Put(key, computed, ApproxResultBytes(*computed));
-  return computed;
+  static const auto* const kNone =
+      new std::shared_ptr<const std::vector<uint32_t>>(
+          std::make_shared<const std::vector<uint32_t>>());
+  Entry entry = Lookup(c);
+  return entry.outliers != nullptr ? std::move(entry.outliers) : *kNone;
 }
 
-std::shared_ptr<const std::vector<uint32_t>> OutlierVerifier::Compute(
-    const ContextVec& c) const {
+OutlierVerifier::Entry OutlierVerifier::Lookup(const ContextVec& c) const {
+  if (!options_.enable_cache) return Compute(c);
+  const VerifierCacheKey key{epoch_, c};
+  Entry entry;
+  if (memo_->cache_.Get(key, &entry)) return entry;
+  entry = Compute(c);
+  memo_->cache_.Put(key, entry, ApproxEntryBytes(entry.outliers));
+  return entry;
+}
+
+OutlierVerifier::Entry OutlierVerifier::Compute(const ContextVec& c) const {
   memo_->evaluations_.fetch_add(1, std::memory_order_relaxed);
-  // Per-thread scratch: a probe in steady state allocates only the result
-  // vector it may cache, never population buffers.
+  // Per-thread scratch: a probe in steady state allocates only the outlier
+  // rows it may cache, never population buffers.
   thread_local PopulationScratch scratch;
   thread_local std::vector<size_t> flagged;
-  auto result = std::make_shared<std::vector<uint32_t>>();
+  Entry entry;
   const PopulationView view = index_->ViewOf(c, &scratch);
-  if (view.size() < detector_->min_population()) return result;
+  entry.population = view.size();
+  if (view.size() < detector_->min_population()) return entry;
   detector_->Detect(view.metric(), &flagged);
-  result->reserve(flagged.size());
+  if (flagged.empty()) return entry;
+  auto outliers = std::make_shared<std::vector<uint32_t>>();
+  outliers->reserve(flagged.size());
   // Detect returns ascending positions; row ids are ascending, so the
-  // result is already sorted for binary_search.
-  for (size_t pos : flagged) result->push_back(view.row_ids()[pos]);
-  return result;
+  // outliers are already sorted for binary_search.
+  for (size_t pos : flagged) outliers->push_back(view.row_ids()[pos]);
+  entry.outliers = std::move(outliers);
+  return entry;
 }
 
 VerifierStats OutlierVerifier::Stats() const {

@@ -56,6 +56,18 @@ struct VerifierStats {
   size_t resident_entries = 0; ///< memoized contexts currently resident
 };
 
+/// \brief One f_M answer for a (context, row) pair, with the population
+/// size the detector run measured on the way (see OutlierVerifier::
+/// Evaluate).
+struct OutlierEvaluation {
+  /// f_M(D_C, V): V is in D_C and the detector flags it there.
+  bool is_outlier = false;
+  /// |D_C| when V is in D_C (matching or not); 0 otherwise, because a
+  /// population V does not belong to is never scored and is answered by a
+  /// one-bit membership test without touching the memo.
+  size_t population = 0;
+};
+
 /// \brief Cache key of one memoized f_M result: the context *and* the
 /// epoch (sealed-row count) of the dataset view it was computed against.
 ///
@@ -121,9 +133,16 @@ class VerifierMemo {
 
  private:
   friend class OutlierVerifier;
-  using ResultPtr = std::shared_ptr<const std::vector<uint32_t>>;
+  /// One memoized detector run: the outlier rows of D_C (ascending; null
+  /// when the detector flagged none, so an empty result allocates
+  /// nothing) and |D_C| itself, so population-size scoring never recounts
+  /// a context the verifier already filtered.
+  struct Entry {
+    std::shared_ptr<const std::vector<uint32_t>> outliers;
+    size_t population = 0;
+  };
 
-  mutable ShardedLruCache<VerifierCacheKey, ResultPtr, VerifierCacheKeyHash>
+  mutable ShardedLruCache<VerifierCacheKey, Entry, VerifierCacheKeyHash>
       cache_;
   std::atomic<size_t> evaluations_{0};
 };
@@ -134,7 +153,8 @@ class VerifierMemo {
 /// population index (into per-thread scratch buffers — zero allocations in
 /// steady state), runs the detector on the population's contiguous metric
 /// span once, converts flagged positions to row ids, and caches the result
-/// — every later f_M(D_C, ·) query on the same context is a lookup. The
+/// together with |D_C| — every later f_M(D_C, ·) query or population-size
+/// score on the same context is one lookup. The
 /// graph-search samplers revisit contexts constantly (each vertex has t
 /// neighbors), so this memoization is the practical analogue of the paper's
 /// precomputed reference file.
@@ -165,9 +185,18 @@ class OutlierVerifier {
                   std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
                   VerifierOptions options = {});
 
+  /// \brief f_M(D_C, V) and |D_C| from one memo lookup. Rows outside D_C
+  /// are answered by a one-bit membership test (never outliers, population
+  /// reported as 0); otherwise the memo entry supplies both the outlier
+  /// rows and the population size, including below the detector's
+  /// min_population.
+  OutlierEvaluation Evaluate(const ContextVec& c, uint32_t v_row) const;
+
   /// \brief f_M(D_C, V): true iff row `v_row` is in D_C *and* the detector
   /// flags it there. Rows outside the population are never outliers in it.
-  bool IsOutlierInContext(const ContextVec& c, uint32_t v_row) const;
+  bool IsOutlierInContext(const ContextVec& c, uint32_t v_row) const {
+    return Evaluate(c, v_row).is_outlier;
+  }
 
   /// \brief Row ids of all outliers in D_C, ascending (shared, immutable).
   std::shared_ptr<const std::vector<uint32_t>> OutliersInContext(
@@ -200,9 +229,10 @@ class OutlierVerifier {
   void ClearCache() const;
 
  private:
-  using ResultPtr = std::shared_ptr<const std::vector<uint32_t>>;
+  using Entry = VerifierMemo::Entry;
 
-  ResultPtr Compute(const ContextVec& c) const;
+  Entry Lookup(const ContextVec& c) const;
+  Entry Compute(const ContextVec& c) const;
 
   const PopulationProbe* index_;
   const OutlierDetector* detector_;

@@ -10,7 +10,7 @@ namespace {
 MaxContextResult Climb(const OutlierVerifier& verifier, uint32_t v_row,
                        const ContextVec& start, size_t max_steps) {
   const size_t t = verifier.index().schema().total_values();
-  MaxContextResult best{start, verifier.index().PopulationCount(start)};
+  MaxContextResult best{start, verifier.Evaluate(start, v_row).population};
   ContextVec current = start;
   size_t current_pop = best.population;
   for (size_t step = 0; step < max_steps; ++step) {
@@ -19,12 +19,10 @@ MaxContextResult Climb(const OutlierVerifier& verifier, uint32_t v_row,
     ContextVec neighbor = current;
     for (size_t bit = 0; bit < t; ++bit) {
       neighbor.Flip(bit);
-      if (verifier.IsOutlierInContext(neighbor, v_row)) {
-        const size_t pop = verifier.index().PopulationCount(neighbor);
-        if (pop > best_pop) {
-          best_pop = pop;
-          best_neighbor = neighbor;
-        }
+      const OutlierEvaluation eval = verifier.Evaluate(neighbor, v_row);
+      if (eval.is_outlier && eval.population > best_pop) {
+        best_pop = eval.population;
+        best_neighbor = neighbor;
       }
       neighbor.Flip(bit);
     }

@@ -139,8 +139,7 @@ class PopulationProbe {
                              std::vector<double>* metric) const;
 
   /// \brief Shared worker pool for scatter probes, or nullptr when this
-  /// probe runs serially. The engine reuses it for the intra-release
-  /// scoring loop so one release never owns two pools.
+  /// probe runs serially.
   virtual ThreadPool* probe_pool() const { return nullptr; }
 
   /// \brief The exact context of local row `row` — one chosen value per

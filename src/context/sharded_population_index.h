@@ -61,8 +61,8 @@ struct ShardedIndexOptions {
 /// gate in bench_million_rows enforce the contract.
 ///
 /// Thread-safe for concurrent probes, like PopulationIndex. Probes may
-/// themselves run on pool workers (the engine's intra-release scoring loop
-/// does this): ThreadPool::ParallelFor is reentrancy-safe, so a worker
+/// themselves run on pool workers (ReleaseBatch entries do):
+/// ThreadPool::ParallelFor is reentrancy-safe, so a worker
 /// blocked in an outer loop drains inner shard-probes itself rather than
 /// deadlocking on a saturated queue.
 class ShardedPopulationIndex : public PopulationProbe {
@@ -97,9 +97,8 @@ class ShardedPopulationIndex : public PopulationProbe {
   uint32_t shard_begin(size_t s) const { return shard_begin_[s]; }
 
   /// \brief The shared worker pool probes scatter on, created on first use
-  /// (never for a single-shard index probed serially). The engine reuses it
-  /// for the intra-release scoring loop so one release never owns two
-  /// pools. Thread-safe; never null.
+  /// (never for a single-shard index probed serially). Thread-safe; never
+  /// null.
   ThreadPool* probe_pool() const override;
 
  private:

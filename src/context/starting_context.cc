@@ -28,11 +28,13 @@ bool TryGreedyGrow(const OutlierVerifier& verifier, uint32_t v_row,
       if (current.Test(bit)) continue;
       ContextVec candidate = current;
       candidate.Set(bit);
-      if (verifier.IsOutlierInContext(candidate, v_row)) {
+      // candidate contains V's exact context, so one lookup answers both.
+      const OutlierEvaluation eval = verifier.Evaluate(candidate, v_row);
+      if (eval.is_outlier) {
         *out = candidate;
         return true;
       }
-      const size_t count = verifier.index().PopulationCount(candidate);
+      const size_t count = eval.population;
       if (best_bit == t || count > best_count) {
         best_bit = bit;
         best_count = count;
@@ -74,8 +76,9 @@ bool TryBestOfRandom(const OutlierVerifier& verifier, uint32_t v_row,
   size_t best_pop = 0;
   for (size_t i = 0; i < tries; ++i) {
     ContextVec c = RandomContainingContext(verifier, v_row, rng);
-    if (!verifier.IsOutlierInContext(c, v_row)) continue;
-    const size_t pop = verifier.index().PopulationCount(c);
+    const OutlierEvaluation eval = verifier.Evaluate(c, v_row);
+    if (!eval.is_outlier) continue;
+    const size_t pop = eval.population;
     if (!found || pop > best_pop) {
       best_pop = pop;
       *out = c;

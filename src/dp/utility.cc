@@ -13,8 +13,9 @@ PopulationSizeUtility::PopulationSizeUtility(const OutlierVerifier& verifier)
 
 double PopulationSizeUtility::Score(const ContextVec& c,
                                     uint32_t v_row) const {
-  if (!verifier_->IsOutlierInContext(c, v_row)) return kNegInf;
-  return static_cast<double>(verifier_->index().PopulationCount(c));
+  // |D_C| rides in the memo entry that answers f_M: one lookup, no count.
+  const OutlierEvaluation eval = verifier_->Evaluate(c, v_row);
+  return eval.is_outlier ? static_cast<double>(eval.population) : kNegInf;
 }
 
 OverlapUtility::OverlapUtility(const OutlierVerifier& verifier,

@@ -10,9 +10,12 @@
 namespace pcor {
 
 /// \brief Utility function u_V(D, C) scoring candidate contexts for an
-/// outlier V (Section 3.2). Non-matching contexts must score -infinity so
-/// the Exponential mechanism assigns them zero probability (property (a) of
-/// Definition 3.2 — the released context is always valid). Sensitivity must
+/// outlier V (Section 3.2). Non-matching contexts must score -infinity, and
+/// matching ones a finite value, so the Exponential mechanism assigns them
+/// zero probability (property (a) of Definition 3.2 — the released context
+/// is always valid). The DP-DFS/DP-BFS samplers rely on that: they admit a
+/// neighbour iff its score is finite, so verifying and scoring it costs one
+/// memo lookup. Sensitivity must
 /// stay small (ideally 1) for the privacy bounds to be meaningful.
 class UtilityFunction {
  public:
@@ -20,7 +23,7 @@ class UtilityFunction {
 
   virtual std::string name() const = 0;
 
-  /// \brief u_V(D, C); -infinity when f_M(D_C, V) is false.
+  /// \brief u_V(D, C); -infinity exactly when f_M(D_C, V) is false.
   virtual double Score(const ContextVec& c, uint32_t v_row) const = 0;
 
   /// \brief Delta-u: max change of Score under one record add/remove.
@@ -29,7 +32,8 @@ class UtilityFunction {
 
 /// \brief Population-size utility (Section 3.2.1): u = |D_C| for matching
 /// contexts. A larger population indicates a more significant outlier.
-/// Sensitivity 1 — one record changes any population by at most 1.
+/// Sensitivity 1 — one record changes any population by at most 1. Scoring
+/// is one verifier lookup: the memo entry that answers f_M carries |D_C|.
 class PopulationSizeUtility : public UtilityFunction {
  public:
   explicit PopulationSizeUtility(const OutlierVerifier& verifier);

@@ -26,10 +26,10 @@ namespace pcor {
 /// keeps thread_local work buffers (grubbs' sorted copy + position array,
 /// the histogram's bin counts + rare-bin table, iqr's sorted copy, lof's
 /// five k-NN vectors) so steady-state probes allocate nothing. Detector
-/// code now also runs *on pool workers* — the engine's intra-release
-/// scoring loop and the sharded index's probes dispatch through
+/// code also runs *on pool workers* — ReleaseBatch entries run on the
+/// engine's release pool and the sharded index's probes dispatch through
 /// ThreadPool::ParallelFor, and a verifier cache miss inside either runs
-/// Detect on whatever thread claimed the chunk. The buffers stay safe
+/// Detect on whatever thread claimed the work. The buffers stay safe
 /// because each has exactly one live user per thread: a Detect call runs
 /// start-to-finish on one thread, ParallelFor waiters only drain chunks of
 /// their *own* loop (never arbitrary queued tasks, see common/threading.h),
@@ -37,7 +37,7 @@ namespace pcor {
 /// never call back into the verifier, a population index, or ParallelFor
 /// from inside Detect — re-entering detector code on the same thread would
 /// alias the live scratch. The worker-initiated-release regression test in
-/// tests/search/intra_release_parallel_test.cc guards this invariant.
+/// tests/search/pcor_test.cc guards this invariant.
 class OutlierDetector {
  public:
   virtual ~OutlierDetector() = default;

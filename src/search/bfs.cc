@@ -1,5 +1,6 @@
 #include "src/search/bfs.h"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "src/dp/mechanism.h"
@@ -11,12 +12,16 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
   const OutlierVerifier& verifier = *request.verifier;
   const size_t t = verifier.index().schema().total_values();
 
-  if (!verifier.IsOutlierInContext(request.start_context, request.v_row)) {
-    return Status::InvalidArgument(
-        "BFS requires a matching starting context C_V");
-  }
   if (request.utility == nullptr) {
     return Status::InvalidArgument("BFS requires a utility function");
+  }
+  // A context is matching iff its utility is finite (the UtilityFunction
+  // contract), so scoring doubles as the f_M check: one memo lookup each.
+  const double start_score =
+      request.utility->Score(request.start_context, request.v_row);
+  if (!std::isfinite(start_score)) {
+    return Status::InvalidArgument(
+        "BFS requires a matching starting context C_V");
   }
   ExponentialMechanism mech(request.epsilon1,
                             request.utility->sensitivity());
@@ -25,8 +30,7 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
   // Frontier with cached utility scores, treated as a priority queue whose
   // "pop" is an Exponential-mechanism draw.
   std::vector<ContextVec> frontier{request.start_context};
-  std::vector<double> frontier_scores{
-      request.utility->Score(request.start_context, request.v_row)};
+  std::vector<double> frontier_scores{start_score};
   std::unordered_set<ContextVec, ContextVecHash> seen;  // frontier ∪ visited
   seen.insert(request.start_context);
   std::unordered_set<ContextVec, ContextVecHash> visited;
@@ -38,6 +42,7 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
     }
     PCOR_ASSIGN_OR_RETURN(size_t pick, mech.Choose(frontier_scores, rng));
     ContextVec current = frontier[pick];
+    out.scores.push_back(frontier_scores[pick]);
     frontier[pick] = frontier.back();
     frontier.pop_back();
     frontier_scores[pick] = frontier_scores.back();
@@ -50,12 +55,13 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
     for (size_t bit = 0; bit < t; ++bit) {
       neighbor.Flip(bit);
       ++out.probes;
-      if (!seen.count(neighbor) &&
-          verifier.IsOutlierInContext(neighbor, request.v_row)) {
-        seen.insert(neighbor);
-        frontier.push_back(neighbor);
-        frontier_scores.push_back(
-            request.utility->Score(neighbor, request.v_row));
+      if (!seen.count(neighbor)) {
+        const double score = request.utility->Score(neighbor, request.v_row);
+        if (std::isfinite(score)) {
+          seen.insert(neighbor);
+          frontier.push_back(neighbor);
+          frontier_scores.push_back(score);
+        }
       }
       neighbor.Flip(bit);
     }

@@ -1,7 +1,6 @@
 #include "src/search/pcor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "src/common/logging.h"
@@ -62,10 +61,13 @@ std::shared_ptr<const PopulationProbe> CheckedProbe(
 PcorEngine::PcorEngine(std::shared_ptr<const PopulationProbe> probe,
                        const OutlierDetector& detector,
                        std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
-                       VerifierOptions verifier_options)
+                       VerifierOptions verifier_options,
+                       std::shared_ptr<ThreadPool> release_pool)
     : probe_(CheckedProbe(std::move(probe))),
       verifier_(*probe_, detector, std::move(memo), epoch,
-                verifier_options) {}
+                verifier_options) {
+  if (release_pool != nullptr) release_pool_ = std::move(release_pool);
+}
 
 const Dataset& PcorEngine::dataset() const {
   PCOR_CHECK(dataset_ != nullptr)
@@ -146,26 +148,15 @@ Result<PcorRelease> PcorEngine::ReleaseWithUtility(
   PCOR_ASSIGN_OR_RETURN(SamplerOutcome outcome,
                         sampler->Sample(request, rng));
 
-  // Final Exponential-mechanism draw over the collected candidates.
-  // Scoring is free of randomness (every Rng draw happened in the sampler)
-  // and each candidate writes only its own slot, so the loop parallelizes
-  // over the index's probe pool without perturbing the draw — scores, and
-  // therefore the released context, are bit-identical for any thread count.
-  std::vector<double> scores(outcome.samples.size());
-  const size_t score_threads = options.intra_release_threads == 0
-                                   ? DefaultThreadCount()
-                                   : options.intra_release_threads;
-  ThreadPool* score_pool =
-      score_threads > 1 && scores.size() > 1 ? probe_->probe_pool() : nullptr;
-  if (score_pool != nullptr) {
-    score_pool->ParallelFor(scores.size(), score_threads,
-                            [&](size_t i) {
-                              scores[i] = utility.Score(
-                                  outcome.samples[i], v_row);
-                            });
-  } else {
-    for (size_t i = 0; i < outcome.samples.size(); ++i) {
-      scores[i] = utility.Score(outcome.samples[i], v_row);
+  // Final Exponential-mechanism draw over the collected candidates. DP-DFS
+  // and DP-BFS hand back the scores they searched with; the other samplers'
+  // candidates are scored here. Score is deterministic and free of
+  // randomness, so either way the draw sees the same values.
+  std::vector<double> scores = std::move(outcome.scores);
+  if (scores.empty()) {
+    scores.reserve(outcome.samples.size());
+    for (const ContextVec& sample : outcome.samples) {
+      scores.push_back(utility.Score(sample, v_row));
     }
   }
   ExponentialMechanism mech(eps1, utility.sensitivity());
@@ -205,8 +196,8 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   WallTimer timer;
   BatchReleaseReport report;
   if (num_threads == 0) num_threads = DefaultThreadCount();
-  // Never spawn more workers than entries (a 4-row batch on a 64-core box
-  // must not pay 60 useless thread start/joins).
+  // Never fan out wider than the batch: a 4-row batch occupies 4 workers
+  // of the long-lived pool, not all of them.
   report.threads = std::max<size_t>(1, std::min(num_threads, requests.size()));
   report.entries.resize(requests.size());
 
@@ -215,14 +206,13 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   // the point of keeping it on the engine.
   const VerifierStats stats_before = verifier_.Stats();
 
-  // Each worker drains a shared index counter; entry i's Rng stream depends
-  // only on (seed, i), never on which worker claims it, so scheduling
-  // cannot perturb the released contexts. Entries carrying their own
+  // Workers claim entries dynamically; entry i's Rng stream depends only on
+  // (seed, i), never on which worker claims it, so scheduling cannot
+  // perturb the released contexts. Entries carrying their own
   // PcorOptions resolve them here — a heterogeneous batch is executed as
   // homogeneous per-entry sub-batches on the one pool pass, with no
   // barrier between configurations (nothing in a release depends on a
   // sibling entry's options).
-  std::atomic<size_t> next{0};
   const auto run_one = [&](size_t i) {
     BatchEntry& entry = report.entries[i];
     entry.v_row = requests[i].v_row;
@@ -245,17 +235,8 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   if (report.threads <= 1) {
     for (size_t i = 0; i < requests.size(); ++i) run_one(i);
   } else {
-    ThreadPool pool(report.threads);
-    for (size_t w = 0; w < report.threads; ++w) {
-      pool.Submit([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= report.entries.size()) return;
-          run_one(i);
-        }
-      });
-    }
-    pool.Wait();
+    release_pool_->Reserve(report.threads);
+    release_pool_->RunOnWorkers(requests.size(), report.threads, run_one);
   }
 
   std::vector<double> entry_seconds;

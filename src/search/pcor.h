@@ -8,6 +8,7 @@
 
 #include "src/common/random.h"
 #include "src/common/result.h"
+#include "src/common/threading.h"
 #include "src/context/population_index.h"
 #include "src/context/sharded_population_index.h"
 #include "src/context/starting_context.h"
@@ -36,14 +37,6 @@ struct PcorOptions {
   StartingContextOptions starting_context;
   /// Probe cap forwarded to the sampler.
   size_t max_probes = 20'000'000;
-  /// Threads used *inside* this one release for the candidate-scoring loop
-  /// (1 = serial, the default; 0 = all cores). Purely a latency knob: the
-  /// Rng draws all happen in the sampler and each candidate's score lands
-  /// in its own result slot, so the released context is bit-identical for
-  /// any value — enforced by the intra-release parallelism tests. Raise it
-  /// when micro-batches are shallow (one tenant, one huge request) and
-  /// batch-level fan-out leaves cores idle; see ServeOptions.
-  size_t intra_release_threads = 1;
 
   /// Memberwise equality; the batch/serving layers use it to recognize
   /// entries that share a configuration (homogeneous sub-batches).
@@ -141,7 +134,7 @@ struct BatchEntry {
 /// interleave on the shared cache).
 struct BatchReleaseReport {
   std::vector<BatchEntry> entries;
-  size_t threads = 1;             ///< worker threads the batch ran on
+  size_t threads = 1;             ///< threads the batch's entries ran on
   size_t failures = 0;            ///< entries whose status is not OK
   size_t total_probes = 0;        ///< candidate contexts examined
   size_t total_f_evaluations = 0; ///< detector runs (verifier cache misses)
@@ -205,11 +198,15 @@ class PcorEngine {
   /// epoch-keyed `memo` like the constructor above; neither `probe` nor
   /// `memo` may be null. dataset() / population_index() are unavailable
   /// on a probe-backed engine (row data lives behind the probe's row
-  /// accessors); everything else behaves identically.
+  /// accessors); everything else behaves identically. `release_pool` is
+  /// the long-lived pool ReleaseBatch fans out on; the streaming layer
+  /// hands every epoch engine of one stream the same pool. Null = the
+  /// engine's own, like the constructors above.
   PcorEngine(std::shared_ptr<const PopulationProbe> probe,
              const OutlierDetector& detector,
              std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
-             VerifierOptions verifier_options = {});
+             VerifierOptions verifier_options = {},
+             std::shared_ptr<ThreadPool> release_pool = nullptr);
 
   /// \brief Releases a private valid context for row `v_row`.
   ///
@@ -230,12 +227,17 @@ class PcorEngine {
                                          const UtilityFunction& utility,
                                          Rng* rng) const;
 
-  /// \brief Releases many outliers in one call, fanned out over a
-  /// ThreadPool with the shared verifier cache. Entry i draws from an
-  /// independent Rng stream derived from (seed, i), so the batch outcome
-  /// is identical for every thread count, including 1.
+  /// \brief Releases many outliers in one call, fanned out over the
+  /// engine's long-lived release pool with the shared verifier cache.
+  /// Entry i draws from an independent Rng stream derived from (seed, i),
+  /// so the batch outcome is identical for every thread count, including 1.
   ///
-  /// `num_threads` 0 means DefaultThreadCount(). Per-entry errors (e.g. a
+  /// `num_threads` 0 means DefaultThreadCount(). The fan-out is
+  /// min(num_threads, entries): one entry or one thread runs on the calling
+  /// thread; more run on that many pool workers (the pool grows to the
+  /// widest fan-out asked of it) while the caller only waits. A batch
+  /// issued from one of the pool's own workers completes too — that
+  /// worker helps drain it. Per-entry errors (e.g. a
   /// row with no valid context) are recorded in the entry, not returned:
   /// one bad row must not sink a 10k-row batch. Blocks until every entry
   /// completed; thread-safe for concurrent calls on one engine.
@@ -281,6 +283,9 @@ class PcorEngine {
   // null for probe-backed construction.
   const ShardedPopulationIndex* sharded_ = nullptr;
   OutlierVerifier verifier_;
+  // ReleaseBatch's long-lived pool: built empty, grown on demand, shared
+  // by a stream's epoch engines. Never null.
+  std::shared_ptr<ThreadPool> release_pool_ = std::make_shared<ThreadPool>(0);
 };
 
 }  // namespace pcor

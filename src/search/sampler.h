@@ -17,7 +17,9 @@ namespace pcor {
 /// the candidate multiset C_M for outlier V.
 struct SamplerRequest {
   const OutlierVerifier* verifier = nullptr;
-  /// Directs DP-DFS/DP-BFS child selection; unused by the others.
+  /// Directs DP-DFS/DP-BFS child selection and, through its finite/-inf
+  /// contract, doubles as their f_M check, so it must score against
+  /// `verifier`; unused by the others.
   const UtilityFunction* utility = nullptr;
   uint32_t v_row = 0;
   /// Starting context C_V; required by graph samplers (random walk, DFS,
@@ -36,6 +38,10 @@ struct SamplerRequest {
 /// \brief Sampler outcome: the candidate multiset plus work counters.
 struct SamplerOutcome {
   std::vector<ContextVec> samples;  ///< C_M / Visited, in collection order
+  /// u_V of each sample, parallel to `samples`, from samplers that scored
+  /// them while searching (DP-DFS, DP-BFS); empty from the others, whose
+  /// samples the engine scores for the final draw.
+  std::vector<double> scores;
   size_t probes = 0;                ///< candidate contexts examined
   bool hit_probe_cap = false;
 };

@@ -168,7 +168,8 @@ uint64_t StreamingPcorEngine::SealEpoch() {
       schema_, next->segments, options_.index.storage,
       options_.index.probe_threads);
   next->engine = std::make_shared<const PcorEngine>(
-      next->probe, *detector_, memo_, next->epoch, options_.verifier);
+      next->probe, *detector_, memo_, next->epoch, options_.verifier,
+      release_pool_);
 
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -229,6 +229,9 @@ class StreamingPcorEngine {
   const OutlierDetector* detector_;
   StreamingOptions options_;
   std::shared_ptr<VerifierMemo> memo_;
+  // One long-lived ReleaseBatch pool for every epoch engine of the stream;
+  // a seal builds a new engine, never a new pool.
+  std::shared_ptr<ThreadPool> release_pool_ = std::make_shared<ThreadPool>(0);
   TreeAccountant accountant_;
 
   mutable std::mutex mu_;  // guards tail_, snapshot_, appends_, seals_

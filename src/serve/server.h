@@ -87,7 +87,7 @@ struct ServeOptions {
   /// any release — seeds are fixed at admission.
   SchedulingPolicy scheduling = SchedulingPolicy::kWeightedFair;
   /// Largest micro-batch one dispatch executes. Bigger batches amortize
-  /// ThreadPool fan-out and keep the shared verifier cache hot.
+  /// the release-pool hand-off and keep the shared verifier cache hot.
   size_t max_batch = 64;
   /// After the first pending request arrives, how long the dispatcher keeps
   /// the batch open for stragglers before executing it anyway.
@@ -95,13 +95,9 @@ struct ServeOptions {
   /// Bound on requests admitted but not yet dispatched.
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Worker threads each micro-batch fans out over (0 = all cores).
-  /// Trades against `release.intra_release_threads`: deep micro-batches
-  /// want cores spent here (entry-level fan-out), while a shallow batch —
-  /// one tenant, one huge request, the tail-latency case — wants
-  /// release_threads small and intra_release_threads raised so the lone
-  /// release's scoring loop owns the cores instead. Neither knob can
-  /// perturb any released context; both are latency-only.
+  /// Worker threads each micro-batch fans out over (0 = all cores), drawn
+  /// from the engine's long-lived release pool. Latency-only: it cannot
+  /// perturb any released context.
   size_t release_threads = 0;
   /// Server seed: every request's Rng stream derives from
   /// (seed, client_id, the client's own submission index) — never from the

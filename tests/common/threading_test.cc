@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
 namespace pcor {
 namespace {
@@ -142,7 +146,7 @@ TEST(PoolParallelForTest, NestedLoopOnSamePoolDoesNotDeadlock) {
 TEST(PoolParallelForTest, WorkerInitiatedLoopCompletes) {
   // A ParallelFor started from inside Submit'ed work (not the owner
   // thread) must complete too — this is the serving pattern, where batch
-  // workers run releases that open intra-release loops.
+  // workers run releases whose probes open shard-scatter loops.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   std::atomic<bool> done{false};
@@ -153,6 +157,72 @@ TEST(PoolParallelForTest, WorkerInitiatedLoopCompletes) {
   pool.Wait();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(counter.load(), 500);
+}
+
+TEST(RunOnWorkersTest, CallerExecutesNoIndex) {
+  ThreadPool pool(3);
+  const size_t n = 300;
+  std::vector<std::atomic<int>> hits(n);
+  std::mutex mu;
+  std::set<std::thread::id> runners;
+  pool.RunOnWorkers(n, 0, [&](size_t i) {
+    hits[i].fetch_add(1);
+    std::lock_guard<std::mutex> lock(mu);
+    runners.insert(std::this_thread::get_id());
+  });
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(runners.count(std::this_thread::get_id()), 0u);
+  EXPECT_LE(runners.size(), 3u);
+}
+
+TEST(RunOnWorkersTest, ReturnsWithoutWaitingForUnrelatedTasks) {
+  // The latch is per call: a long-running unrelated task must not hold
+  // the caller (Wait() would).
+  ThreadPool pool(2);
+  std::atomic<bool> release_blocker{false};
+  pool.Submit([&] {
+    while (!release_blocker.load()) std::this_thread::yield();
+  });
+  std::atomic<int> counter{0};
+  pool.RunOnWorkers(50, 1, [&](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 50);
+  release_blocker.store(true);
+  pool.Wait();
+}
+
+TEST(RunOnWorkersTest, IssuedFromItsOwnWorkerCompletes) {
+  // With one worker, the only thread that could drain the range is the
+  // caller itself: it must help rather than wait on itself.
+  ThreadPool pool(1);
+  std::atomic<int> counter{0};
+  std::atomic<bool> done{false};
+  pool.Submit([&] {
+    pool.RunOnWorkers(200, 4, [&](size_t) { counter.fetch_add(1); });
+    done.store(true);
+  });
+  pool.Wait();
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(counter.load(), 200);
+}
+
+TEST(ThreadPoolTest, ReserveGrowsAndNeverShrinks) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  std::vector<size_t> order;
+  pool.RunOnWorkers(4, 0, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));  // no workers: inline
+  pool.Reserve(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  pool.Reserve(2);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  std::atomic<int> counter{0};
+  pool.RunOnWorkers(100, 3, [&](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 100);
+  EXPECT_FALSE(pool.IsWorkerThread());
+  std::atomic<bool> on_worker{false};
+  pool.Submit([&] { on_worker.store(pool.IsWorkerThread()); });
+  pool.Wait();
+  EXPECT_TRUE(on_worker.load());
 }
 
 // Restores the real host topology when a test that injected a fake one
@@ -209,19 +279,23 @@ TEST(ThreadPoolTest, PinnedWorkersRoundRobinAcrossNodes) {
     EXPECT_EQ(pool.worker_node(i), i % 2) << "worker " << i;
   }
   // Each worker observes the node it was placed on, which is what routes
-  // it to the node-local cache shard group.
+  // it to the node-local cache shard group. Every task waits at a 4-way
+  // rendezvous before recording, so each of the 4 workers runs exactly
+  // one of them and both nodes must be observed.
   std::mutex mu;
-  std::vector<size_t> seen_nodes;
-  for (int task = 0; task < 32; ++task) {
+  std::condition_variable all_arrived;
+  size_t arrived = 0;
+  std::set<size_t> seen_nodes;
+  for (int task = 0; task < 4; ++task) {
     pool.Submit([&] {
-      std::lock_guard<std::mutex> lock(mu);
-      seen_nodes.push_back(CurrentNumaNode());
+      std::unique_lock<std::mutex> lock(mu);
+      if (++arrived == 4) all_arrived.notify_all();
+      all_arrived.wait(lock, [&] { return arrived == 4; });
+      seen_nodes.insert(CurrentNumaNode());
     });
   }
   pool.Wait();
-  for (size_t node : seen_nodes) EXPECT_LT(node, 2u);
-  EXPECT_TRUE(std::any_of(seen_nodes.begin(), seen_nodes.end(),
-                          [](size_t n) { return n == 0; }));
+  EXPECT_EQ(seen_nodes, (std::set<size_t>{0, 1}));
 }
 
 TEST(ThreadPoolTest, UnpinnedPoolKeepsEveryWorkerOnNodeZero) {

@@ -2,10 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/common/threading.h"
 #include "tests/testing_util.h"
 
 namespace pcor {
 namespace {
+
+// The deterministic release contract: everything except the attribution
+// estimates (f_evaluations / cache_hits, scheduling-dependent) and wall
+// time must be identical.
+void ExpectSameRelease(const PcorRelease& a, const PcorRelease& b) {
+  EXPECT_EQ(a.context, b.context);
+  EXPECT_EQ(a.description, b.description);
+  EXPECT_EQ(a.starting_context, b.starting_context);
+  EXPECT_DOUBLE_EQ(a.epsilon_spent, b.epsilon_spent);
+  EXPECT_DOUBLE_EQ(a.epsilon1, b.epsilon1);
+  EXPECT_EQ(a.num_candidates, b.num_candidates);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_DOUBLE_EQ(a.utility_score, b.utility_score);
+  EXPECT_EQ(a.hit_probe_cap, b.hit_probe_cap);
+}
 
 class PcorEngineTest : public ::testing::Test {
  protected:
@@ -137,6 +155,71 @@ TEST_F(PcorEngineTest, DeterministicGivenSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->context, b->context);
+}
+
+TEST_F(PcorEngineTest, ShardedEngineMatchesDefaultEngine) {
+  // The row-sharded index is a pure latency lever: every sampler releases
+  // bit-identically over 5 shards and over the default layout.
+  ShardedIndexOptions index_options;
+  index_options.shard_count = 5;  // 37 rows over 5 shards: most are empty
+  PcorEngine sharded_engine(grid_.dataset, detector_, VerifierOptions{},
+                            index_options);
+  ASSERT_EQ(sharded_engine.population_index().shard_count(), 5u);
+  for (SamplerKind kind :
+       {SamplerKind::kDirect, SamplerKind::kUniform, SamplerKind::kRandomWalk,
+        SamplerKind::kDfs, SamplerKind::kBfs}) {
+    PcorOptions options;
+    options.sampler = kind;
+    options.num_samples = 8;
+    options.total_epsilon = 0.4;
+    Rng ref_rng(321);
+    Rng sharded_rng(321);
+    auto reference = engine_.Release(grid_.v_row, options, &ref_rng);
+    auto sharded = sharded_engine.Release(grid_.v_row, options, &sharded_rng);
+    ASSERT_EQ(reference.ok(), sharded.ok()) << SamplerKindName(kind);
+    if (reference.ok()) ExpectSameRelease(*reference, *sharded);
+  }
+}
+
+TEST_F(PcorEngineTest, WorkerInitiatedReleaseMatchesMainThread) {
+  // The detector-scratch regression: for every registered detector, run a
+  // sharded release from inside a foreign ThreadPool worker (its probes
+  // nest ParallelFor on the index's probe pool, so detector thread_local
+  // buffers are exercised on nested worker threads) and demand exact
+  // agreement with a main-thread release (see the scratch-discipline
+  // contract in outlier/detector.h).
+  PcorOptions options;
+  options.sampler = SamplerKind::kBfs;
+  options.num_samples = 8;
+  options.total_epsilon = 0.4;
+  for (const std::string& name : RegisteredDetectorNames()) {
+    auto detector = MakeDetector(name);
+    ASSERT_TRUE(detector.ok()) << name;
+    ShardedIndexOptions index_options;
+    index_options.shard_count = 3;
+    index_options.probe_threads = 3;
+    PcorEngine engine(grid_.dataset, **detector, VerifierOptions{},
+                      index_options);
+
+    Rng main_rng(777);
+    auto reference = engine.Release(grid_.v_row, options, &main_rng);
+    engine.verifier().ClearCache();  // the worker recomputes every f_M
+
+    Result<PcorRelease> from_worker = Status::Internal("never ran");
+    ThreadPool pool(2);
+    pool.Submit([&] {
+      Rng rng(777);
+      from_worker = engine.Release(grid_.v_row, options, &rng);
+    });
+    pool.Wait();
+
+    ASSERT_EQ(reference.ok(), from_worker.ok())
+        << name << ": " << from_worker.status().ToString();
+    if (reference.ok()) {
+      SCOPED_TRACE(name);
+      ExpectSameRelease(*reference, *from_worker);
+    }
+  }
 }
 
 }  // namespace
