@@ -1,38 +1,22 @@
-// Streaming PCOR bench: epoch-snapshotted appends plus tree-aggregated
-// continual release over the reduced salary workload.
+// Streaming PCOR bench: epoch-snapshotted appends plus continual release
+// over the reduced salary workload.
 //
-// Four phases, one BENCH_JSON line each (two for streaming_seal):
+// Three phases, one BENCH_JSON line each:
 //   * `streaming_append` — stream the whole dataset through Append,
 //     sealing every PCOR_STREAM_SEAL_EVERY rows; appends/s INCLUDES the
 //     periodic incremental (segmented) seals — the honest cost of the
-//     default seal path (see docs/streaming.md).
+//     seal path (see docs/streaming.md).
 //   * `streaming_release` — T = PCOR_STREAM_RELEASES continual releases
 //     against the sealed tip via ReleaseAsOfNow, reporting releases/s and
 //     the memo invalidation count.
-//   * `streaming_epsilon` — the accountant's tree-composed cumulative vs
-//     the naive T-fresh-budgets baseline and their ratio.
 //   * `streaming_seal` — seals/s at PCOR_STREAM_SEAL_EPOCHS (default 64)
-//     evenly-sized epochs, segmented vs the copy-on-seal ablation
-//     (StreamingOptions::segmented_seal false), timing SealEpoch calls
-//     only; one line per mode plus the speedup.
+//     evenly-sized epochs, timing SealEpoch calls only.
 //
 // Enforced acceptance bars (exit non-zero on violation):
 //   * every sealed row lands: the final epoch equals the dataset size;
 //   * every continual release succeeds (the planted outliers verify at
-//     the tip epoch);
-//   * segmented seals/s >= 2x copy-on-seal seals/s whenever the run seals
-//     >= 64 epochs (PCOR_RELAX_STREAMING=1 downgrades to a warning for
-//     noisy/smoke environments);
-//   * NEVER RELAXED: both seal modes release bit-identically from their
-//     tips under the same seed — the segment layout may never move an
-//     answer;
-//   * NEVER RELAXED: for T >= 4 the tree-composed epsilon is strictly
-//     below the naive per-release sum, and matches
-//     TreeAccountant::CumulativeFor to within summation ulp (the
-//     accountant adds marginals one release at a time). Only the seals/s
-//     bar is timing; the equivalence and arithmetic bars always hold.
+//     the tip epoch).
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -47,8 +31,8 @@ using namespace pcor::bench;
 int main() {
   BenchEnv env = ReadBenchEnv(/*default_scale=*/0.2);
   PrintEnv(env,
-           "streaming PCOR: epoch-snapshotted appends + tree-aggregated "
-           "continual release (BFS, eps=0.2, n=20, lof detector)");
+           "streaming PCOR: epoch-snapshotted appends + continual release "
+           "(BFS, eps=0.2, n=20, lof detector)");
 
   auto setup = MakeSalarySetup(env, "lof");
   if (!setup) return 1;
@@ -110,26 +94,21 @@ int main() {
   // Phase 2: continual releases against the sealed tip.
   WallTimer release_timer;
   size_t failures = 0;
-  double eps_per_release = 0.0;
   for (size_t t = 0; t < releases_target; ++t) {
     const uint32_t v_row = setup->outliers[t % setup->outliers.size()];
     Rng rng(env.seed + t);
-    auto released = stream.ReleaseAsOfNow(v_row, release, &rng);
-    if (!released.ok()) {
-      ++failures;
-      continue;
-    }
-    eps_per_release = released->release.epsilon_spent;
+    if (!stream.ReleaseAsOfNow(v_row, release, &rng).ok()) ++failures;
   }
+  const size_t releases = releases_target - failures;
   const double release_wall = release_timer.ElapsedSeconds();
   const StreamingStats stats = stream.stats();
   const double releases_per_s =
-      static_cast<double>(stats.releases) / std::max(release_wall, 1e-9);
-  report::SectionHeader("continual release (as-of-now, tree-charged)");
-  std::printf("%llu releases in %.3fs (%.1f releases/s), %zu failures, "
+      static_cast<double>(releases) / std::max(release_wall, 1e-9);
+  report::SectionHeader("continual release (as-of-now)");
+  std::printf("%zu releases in %.3fs (%.1f releases/s), %zu failures, "
               "%zu memo invalidations across seals\n",
-              static_cast<unsigned long long>(stats.releases), release_wall,
-              releases_per_s, failures, stats.cache_invalidations);
+              releases, release_wall, releases_per_s, failures,
+              stats.cache_invalidations);
   if (failures != 0) {
     std::printf("ERROR: %zu continual releases failed (planted outliers "
                 "must verify at the tip epoch)\n",
@@ -137,162 +116,52 @@ int main() {
     ok = false;
   }
   emitter.Emit(strings::Format(
-      "{\"bench\":\"streaming_release\",\"releases\":%llu,\"failures\":%zu,"
+      "{\"bench\":\"streaming_release\",\"releases\":%zu,\"failures\":%zu,"
       "\"wall_s\":%.6f,\"releases_per_s\":%.2f,\"epoch\":%llu,"
       "\"cache_invalidations\":%zu,\"kernel_backend\":\"%s\"}",
-      static_cast<unsigned long long>(stats.releases), failures, release_wall,
-      releases_per_s, static_cast<unsigned long long>(stats.epoch),
-      stats.cache_invalidations, simd::ActiveBackendName()));
-
-  // Phase 3: the O(log T) accounting win. Never relaxed.
-  const uint64_t T = stats.releases;
-  const double eps_tree = stats.cumulative_epsilon;
-  const double eps_naive = stats.naive_epsilon;
-  const double ratio = eps_naive > 0.0 ? eps_tree / eps_naive : 1.0;
-  report::SectionHeader("epsilon accounting (tree vs naive)");
-  std::printf("T=%llu releases at eps=%.3g: tree %.4f vs naive %.4f "
-              "(ratio %.4f, %llu levels)\n",
-              static_cast<unsigned long long>(T), eps_per_release, eps_tree,
-              eps_naive, ratio,
-              static_cast<unsigned long long>(TreeAccountant::LevelsFor(T)));
-  if (T >= 4) {
-    if (!(eps_tree < eps_naive)) {
-      std::printf("ERROR: tree-composed epsilon %.6f must be strictly below "
-                  "naive %.6f for T >= 4 (never relaxed)\n",
-                  eps_tree, eps_naive);
-      ok = false;
-    }
-    // The accountant sums marginals one release at a time while
-    // CumulativeFor multiplies levels * eps — ulp drift, not slack.
-    const double expected = TreeAccountant::CumulativeFor(T, eps_per_release);
-    if (std::fabs(eps_tree - expected) > 1e-9 * std::max(1.0, expected)) {
-      std::printf("ERROR: accountant cumulative %.12f != CumulativeFor(%llu) "
-                  "= %.12f\n",
-                  eps_tree, static_cast<unsigned long long>(T), expected);
-      ok = false;
-    }
-  }
-  emitter.Emit(strings::Format(
-      "{\"bench\":\"streaming_epsilon\",\"releases\":%llu,"
-      "\"eps_per_release\":%.4f,\"eps_tree\":%.4f,\"eps_naive\":%.4f,"
-      "\"ratio\":%.4f,\"levels\":%llu,\"kernel_backend\":\"%s\"}",
-      static_cast<unsigned long long>(T), eps_per_release, eps_tree,
-      eps_naive, ratio,
-      static_cast<unsigned long long>(TreeAccountant::LevelsFor(T)),
+      releases, failures, release_wall, releases_per_s,
+      static_cast<unsigned long long>(stats.epoch), stats.cache_invalidations,
       simd::ActiveBackendName()));
 
-  // Phase 4: seal cost, segmented vs copy-on-seal. Same rows, same epoch
-  // boundaries, same everything except StreamingOptions::segmented_seal;
-  // only the SealEpoch calls are timed. The equivalence gate then demands
-  // bit-identical releases from both tips — never relaxed.
+  // Phase 3: seal cost. Only the SealEpoch calls are timed.
   const size_t seal_epochs = std::max<size_t>(
       8, strings::EnvSizeOr("PCOR_STREAM_SEAL_EPOCHS", 64));
   const size_t rows_per_epoch =
       std::max<size_t>(1, full.num_rows() / seal_epochs);
-  const bool relax_streaming =
-      strings::EnvSizeOr("PCOR_RELAX_STREAMING", 0) != 0;
-  report::SectionHeader("seal cost (segmented vs copy-on-seal)");
-  double seals_per_s_by_mode[2] = {0.0, 0.0};
-  std::shared_ptr<const EpochSnapshot> tip_by_mode[2];
+  report::SectionHeader("seal cost (segmented seals)");
+  StreamingPcorEngine sealer(full.schema(), *setup->detector);
+  double seal_wall = 0.0;
   uint64_t seals_done = 0;
-  for (const bool segmented : {true, false}) {
-    StreamingOptions mode_options;
-    mode_options.segmented_seal = segmented;
-    StreamingPcorEngine sealer(full.schema(), *setup->detector, mode_options);
-    double seal_wall = 0.0;
-    seals_done = 0;
-    std::vector<uint32_t> codes(full.num_attributes());
-    for (size_t r = 0; r < full.num_rows(); ++r) {
-      for (size_t a = 0; a < full.num_attributes(); ++a) {
-        codes[a] = full.code(r, a);
-      }
-      sealer.Append(codes, full.metric(r)).CheckOK();
-      if ((r + 1) % rows_per_epoch == 0 || r + 1 == full.num_rows()) {
-        WallTimer seal_timer;
-        sealer.SealEpoch();
-        seal_wall += seal_timer.ElapsedSeconds();
-        ++seals_done;
-      }
+  std::vector<uint32_t> codes(full.num_attributes());
+  for (size_t r = 0; r < full.num_rows(); ++r) {
+    for (size_t a = 0; a < full.num_attributes(); ++a) {
+      codes[a] = full.code(r, a);
     }
-    const StreamingStats seal_stats = sealer.stats();
-    const double seals_per_s =
-        static_cast<double>(seals_done) / std::max(seal_wall, 1e-9);
-    seals_per_s_by_mode[segmented ? 0 : 1] = seals_per_s;
-    tip_by_mode[segmented ? 0 : 1] = sealer.Pin();
-    const char* mode = segmented ? "segmented" : "copy_on_seal";
-    std::printf("%s: %llu seals of ~%zu rows in %.3fs (%.1f seals/s), "
-                "%zu segments at tip, %llu compactions\n",
-                mode, static_cast<unsigned long long>(seals_done),
-                rows_per_epoch, seal_wall, seals_per_s, seal_stats.segments,
-                static_cast<unsigned long long>(seal_stats.compactions));
-    emitter.Emit(strings::Format(
-        "{\"bench\":\"streaming_seal\",\"mode\":\"%s\",\"rows\":%zu,"
-        "\"seals\":%llu,\"rows_per_epoch\":%zu,\"seal_wall_s\":%.6f,"
-        "\"seals_per_s\":%.2f,\"tip_segments\":%zu,\"compactions\":%llu,"
-        "\"kernel_backend\":\"%s\"}",
-        mode, full.num_rows(), static_cast<unsigned long long>(seals_done),
-        rows_per_epoch, seal_wall, seals_per_s, seal_stats.segments,
-        static_cast<unsigned long long>(seal_stats.compactions),
-        simd::ActiveBackendName()));
-  }
-
-  // Equivalence gate: identical seed, identical targets, the two tips must
-  // release identically. Arithmetic, never relaxed.
-  {
-    std::vector<uint32_t> targets(setup->outliers.begin(),
-                                  setup->outliers.end());
-    const BatchReleaseReport seg = tip_by_mode[0]->engine->ReleaseBatch(
-        std::span<const uint32_t>(targets), release, env.seed, 1);
-    const BatchReleaseReport cow = tip_by_mode[1]->engine->ReleaseBatch(
-        std::span<const uint32_t>(targets), release, env.seed, 1);
-    size_t mismatches = 0;
-    for (size_t i = 0; i < targets.size(); ++i) {
-      const PcorRelease& a = seg.entries[i].release;
-      const PcorRelease& b = cow.entries[i].release;
-      if (seg.entries[i].status.ok() != cow.entries[i].status.ok() ||
-          a.context != b.context || a.description != b.description ||
-          a.epsilon_spent != b.epsilon_spent ||
-          a.num_candidates != b.num_candidates ||
-          a.utility_score != b.utility_score) {
-        ++mismatches;
-      }
-    }
-    if (mismatches != 0) {
-      std::printf("ERROR: %zu of %zu releases differ between segmented and "
-                  "copy-on-seal tips (never relaxed)\n",
-                  mismatches, targets.size());
-      ok = false;
-    } else {
-      std::printf("equivalence gate: %zu/%zu releases bit-identical across "
-                  "seal modes\n",
-                  targets.size(), targets.size());
+    sealer.Append(codes, full.metric(r)).CheckOK();
+    if ((r + 1) % rows_per_epoch == 0 || r + 1 == full.num_rows()) {
+      WallTimer seal_timer;
+      sealer.SealEpoch();
+      seal_wall += seal_timer.ElapsedSeconds();
+      ++seals_done;
     }
   }
-
-  const double seal_speedup =
-      seals_per_s_by_mode[1] > 0.0
-          ? seals_per_s_by_mode[0] / seals_per_s_by_mode[1]
-          : 0.0;
-  std::printf("segmented/copy-on-seal seal throughput: %.2fx\n",
-              seal_speedup);
+  const StreamingStats seal_stats = sealer.stats();
+  const double seals_per_s =
+      static_cast<double>(seals_done) / std::max(seal_wall, 1e-9);
+  std::printf("segmented: %llu seals of ~%zu rows in %.3fs (%.1f seals/s), "
+              "%zu segments at tip, %llu compactions\n",
+              static_cast<unsigned long long>(seals_done), rows_per_epoch,
+              seal_wall, seals_per_s, seal_stats.segments,
+              static_cast<unsigned long long>(seal_stats.compactions));
   emitter.Emit(strings::Format(
-      "{\"bench\":\"streaming_seal\",\"mode\":\"speedup\",\"seals\":%llu,"
-      "\"segmented_seals_per_s\":%.2f,\"copy_seals_per_s\":%.2f,"
-      "\"speedup\":%.3f,\"kernel_backend\":\"%s\"}",
-      static_cast<unsigned long long>(seals_done), seals_per_s_by_mode[0],
-      seals_per_s_by_mode[1], seal_speedup, simd::ActiveBackendName()));
-  if (seals_done >= 64 && seal_speedup < 2.0) {
-    if (relax_streaming) {
-      std::printf("WARNING: segmented seal speedup %.2fx below the 2x bar "
-                  "at %llu epochs (relaxed by PCOR_RELAX_STREAMING)\n",
-                  seal_speedup, static_cast<unsigned long long>(seals_done));
-    } else {
-      std::printf("ERROR: segmented seal speedup %.2fx below the 2x bar at "
-                  "%llu epochs (PCOR_RELAX_STREAMING=1 to relax)\n",
-                  seal_speedup, static_cast<unsigned long long>(seals_done));
-      ok = false;
-    }
-  }
+      "{\"bench\":\"streaming_seal\",\"mode\":\"segmented\",\"rows\":%zu,"
+      "\"seals\":%llu,\"rows_per_epoch\":%zu,\"seal_wall_s\":%.6f,"
+      "\"seals_per_s\":%.2f,\"tip_segments\":%zu,\"compactions\":%llu,"
+      "\"kernel_backend\":\"%s\"}",
+      full.num_rows(), static_cast<unsigned long long>(seals_done),
+      rows_per_epoch, seal_wall, seals_per_s, seal_stats.segments,
+      static_cast<unsigned long long>(seal_stats.compactions),
+      simd::ActiveBackendName()));
 
   if (!emitter.ok()) {
     std::printf("BENCH_JSON validation failures: %zu\n", emitter.failures());

@@ -36,8 +36,8 @@ std::shared_ptr<const PopulationSegment> MakeSegment(
 
 /// \brief Replaces segments [begin, end) of `*segments` with one merged
 /// segment: rows copied into a fresh Dataset, index rebuilt — O(rows of
-/// the merged range). Used by the streaming compaction policy and the
-/// copy-on-seal ablation. No-op when the range is a single segment.
+/// the merged range). Used by the streaming compaction policy. No-op when
+/// the range is a single segment.
 void MergeSegments(
     std::vector<std::shared_ptr<const PopulationSegment>>* segments,
     size_t begin, size_t end, IndexStorage storage);

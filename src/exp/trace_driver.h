@@ -133,7 +133,7 @@ struct TraceReplayResult {
   /// across payloads: a SplitMix64Mix fold over every release outcome in
   /// trace order (status; on success the full deterministic payload —
   /// context bits, epsilons, candidate/probe counts, utility, epoch,
-  /// stream index). Two replays of the same trace are bit-identical iff
+  /// probe-cap flag). Two replays of the same trace are bit-identical iff
   /// their digests match.
   uint64_t release_digest = 0;
   double wall_seconds = 0.0;    ///< real wall time of the whole replay

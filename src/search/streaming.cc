@@ -59,10 +59,6 @@ uint64_t CompactSegments(
 
 }  // namespace
 
-bool DefaultSegmentedSeal() {
-  return strings::EnvSizeOr("PCOR_SEGMENTED_SEAL", 1) != 0;
-}
-
 Row EpochSnapshot::RowAt(uint32_t row) const {
   PCOR_CHECK(row < epoch) << "row outside the sealed prefix";
   for (const auto& segment : segments) {
@@ -121,12 +117,11 @@ Status StreamingPcorEngine::AppendRows(std::span<const Row> rows) {
   for (const Row& row : rows) {
     PCOR_RETURN_NOT_OK(ValidateRow(row.codes));
   }
+  // A range insert grows the tail geometrically; an exact reserve here
+  // would reallocate the whole tail on every small span.
   std::lock_guard<std::mutex> lock(mu_);
-  tail_.reserve(tail_.size() + rows.size());
-  for (const Row& row : rows) {
-    tail_.push_back(row);
-    ++appends_;
-  }
+  tail_.insert(tail_.end(), rows.begin(), rows.end());
+  appends_ += rows.size();
   return Status::OK();
 }
 
@@ -155,15 +150,8 @@ uint64_t StreamingPcorEngine::SealEpoch() {
   next->segments.push_back(MakeSegment(static_cast<uint32_t>(base->epoch),
                                        std::move(tail_rows),
                                        options_.index.storage));
-  if (options_.segmented_seal) {
-    compactions_ += CompactSegments(&next->segments, options_.compaction,
-                                    options_.index.storage);
-  } else if (next->segments.size() > 1) {
-    // Copy-on-seal ablation: one flat segment over the whole sealed
-    // prefix, rebuilt every seal — O(history), the pre-segment baseline.
-    MergeSegments(&next->segments, 0, next->segments.size(),
-                  options_.index.storage);
-  }
+  compactions_ += CompactSegments(&next->segments, options_.compaction,
+                                  options_.index.storage);
   next->probe = std::make_shared<const SegmentedPopulationProbe>(
       schema_, next->segments, options_.index.storage,
       options_.index.probe_threads);
@@ -198,31 +186,14 @@ std::shared_ptr<const EpochSnapshot> StreamingPcorEngine::Pin() const {
   return snapshot_;
 }
 
-ContinualRelease StreamingPcorEngine::ChargeAndAnnotate(
-    PcorRelease release) {
-  const TreeAccountant::Charge charge =
-      accountant_.ChargeNextRelease(release.epsilon_spent);
-  release.stream_release_index = charge.release_index;
-  release.stream_epsilon_charged = charge.marginal;
-  ContinualRelease continual;
-  continual.cumulative_epsilon = charge.cumulative;
-  continual.naive_cumulative_epsilon = charge.naive_cumulative;
-  continual.nodes_summed =
-      TreeAccountant::NodesSummedAt(charge.release_index);
-  continual.release = std::move(release);
-  return continual;
-}
-
-Result<ContinualRelease> StreamingPcorEngine::ReleaseAsOfNow(
+Result<PcorRelease> StreamingPcorEngine::ReleaseAsOfNow(
     uint32_t v_row, const PcorOptions& options, Rng* rng) {
   const std::shared_ptr<const EpochSnapshot> snapshot = Pin();
   if (snapshot->engine == nullptr) {
     return Status::FailedPrecondition(
         "no sealed epoch yet: Append rows and SealEpoch before releasing");
   }
-  PCOR_ASSIGN_OR_RETURN(PcorRelease release,
-                        snapshot->engine->Release(v_row, options, rng));
-  return ChargeAndAnnotate(std::move(release));
+  return snapshot->engine->Release(v_row, options, rng);
 }
 
 BatchReleaseReport StreamingPcorEngine::ReleaseBatchAsOfNow(
@@ -240,18 +211,7 @@ BatchReleaseReport StreamingPcorEngine::ReleaseBatchAsOfNow(
     report.failures = requests.size();
     return report;
   }
-  BatchReleaseReport report =
-      snapshot->engine->ReleaseBatch(requests, options, seed, num_threads);
-  // Charge in entry order, after the parallel section: stream positions —
-  // and therefore every marginal — are identical for any thread count.
-  for (BatchEntry& entry : report.entries) {
-    if (!entry.status.ok()) continue;
-    ContinualRelease continual = ChargeAndAnnotate(std::move(entry.release));
-    entry.release = std::move(continual.release);
-    report.total_stream_epsilon_charged +=
-        entry.release.stream_epsilon_charged;
-  }
-  return report;
+  return snapshot->engine->ReleaseBatch(requests, options, seed, num_threads);
 }
 
 uint64_t StreamingPcorEngine::current_epoch() const {
@@ -276,9 +236,6 @@ StreamingStats StreamingPcorEngine::stats() const {
   }
   stats.compactions = compactions_.load(std::memory_order_relaxed);
   stats.retained_epochs = retained_epochs_.load(std::memory_order_relaxed);
-  stats.releases = accountant_.releases();
-  stats.cumulative_epsilon = accountant_.cumulative_epsilon();
-  stats.naive_epsilon = accountant_.naive_epsilon();
   stats.cache_invalidations = memo_->CacheStats().invalidations;
   return stats;
 }

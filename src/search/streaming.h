@@ -10,15 +10,8 @@
 
 #include "src/context/segmented_population_probe.h"
 #include "src/search/pcor.h"
-#include "src/search/tree_accountant.h"
 
 namespace pcor {
-
-/// \brief Segmented seals on by default; the PCOR_SEGMENTED_SEAL env var
-/// set to 0 selects the copy-on-seal ablation (every seal merges the
-/// whole sealed prefix into one segment — the O(history) baseline the
-/// seal-cost bench compares against).
-bool DefaultSegmentedSeal();
 
 /// \brief On-seal segment compaction policy. Compaction runs inside
 /// SealEpoch, outside the append lock, and only ever replaces segments in
@@ -57,13 +50,7 @@ struct StreamingOptions {
   /// recompute instead of hit — so this knob trades memory for warmth,
   /// never correctness.
   size_t retain_epochs = 2;
-  /// Incremental seals (one new segment per seal, O(tail)) when true —
-  /// the default, overridable via PCOR_SEGMENTED_SEAL. False selects the
-  /// copy-on-seal ablation: every seal rebuilds one flat segment over the
-  /// whole sealed prefix, O(history), bit-identical answers.
-  bool segmented_seal = DefaultSegmentedSeal();
-  /// Segment compaction policy (ignored under copy-on-seal, which always
-  /// holds exactly one segment).
+  /// Segment compaction policy.
   CompactionOptions compaction;
 };
 
@@ -100,27 +87,13 @@ struct StreamingStats {
   size_t segments = 0;         ///< segment fan-out of the current snapshot
   uint64_t compactions = 0;    ///< segment merges performed at seals
   size_t retained_epochs = 0;  ///< epochs currently inside the retain window
-  uint64_t releases = 0;       ///< continual releases charged so far
-  double cumulative_epsilon = 0.0;  ///< tree-composed total
-  double naive_epsilon = 0.0;       ///< T-fresh-budgets baseline
-  size_t cache_invalidations = 0;   ///< memo entries swept at seals
-};
-
-/// \brief One "outliers as of now" release plus its continual-release
-/// accounting. `release.stream_release_index` / `stream_epsilon_charged`
-/// carry the per-release tree charge; the fields here add the stream-level
-/// cumulative view.
-struct ContinualRelease {
-  PcorRelease release;
-  double cumulative_epsilon = 0.0;        ///< tree-composed, after this one
-  double naive_cumulative_epsilon = 0.0;  ///< what T * eps would have cost
-  uint64_t nodes_summed = 0;  ///< popcount(t) partial-sum nodes (telemetry)
+  size_t cache_invalidations = 0;  ///< memo entries swept at seals
 };
 
 /// \brief PCOR over data that arrives forever: appends land in a mutable
 /// tail, SealEpoch turns the accumulated tail into a new immutable epoch
 /// snapshot, and "as of now" releases run against the latest sealed
-/// snapshot with tree-composed epsilon accounting.
+/// snapshot.
 ///
 /// Contracts (tested, see tests/search/streaming_engine_test.cc):
 ///   - **Snapshot consistency.** A release (or batch) pinned to epoch k is
@@ -136,22 +109,18 @@ struct ContinualRelease {
 ///     entry by (epoch, context); a query at epoch e can only see entries
 ///     computed at epoch e. Epoch retirement (retain_epochs) is storage
 ///     reclamation, not a correctness mechanism.
-///   - **Accounting.** Each release is charged by the binary-tree
-///     schedule (TreeAccountant): cumulative epsilon after T releases is
-///     O(log T) levels instead of T fresh budgets. The engine-level
-///     accountant charges successful releases in completion order; the
-///     serving front-end instead charges per tenant at admission (see
-///     PcorServer streaming mode), which is the authoritative ledger in
-///     multi-tenant deployments.
+///   - **Accounting.** The engine keeps no ledger: every release reports
+///     its full effective epsilon in `epsilon_spent`, exactly like
+///     PcorEngine::Release, and releases compose sequentially. A
+///     single-owner caller meters them with a PrivacyAccountant; the
+///     serving front-end charges each tenant's BudgetAccountant at
+///     admission (PcorServer streaming mode).
 ///
 /// Costs, stated plainly: SealEpoch indexes only the tail rows into a new
 /// immutable segment — O(tail), plus amortized O(log total) per row of
 /// on-seal compaction (CompactionOptions) that keeps probe fan-out
 /// bounded. Earlier segments are shared with the previous snapshot, never
-/// copied. The pre-segment copy-on-seal behavior (O(history) per seal)
-/// remains available as an ablation via PCOR_SEGMENTED_SEAL=0 /
-/// StreamingOptions::segmented_seal = false; the streaming_seal bench
-/// enforces the segmented path's advantage. Appends are O(1) buffered.
+/// copied. Appends are O(1) buffered.
 ///
 /// Thread-safe: appends, seals, pins and releases may race freely from
 /// any thread. The segment build runs *outside* the append lock — a seal
@@ -192,19 +161,16 @@ class StreamingPcorEngine {
   std::shared_ptr<const EpochSnapshot> Pin() const;
 
   /// \brief Releases a private valid context for `v_row` (a sealed row
-  /// id) "as of now": against the latest sealed snapshot, charged by the
-  /// tree accountant. kFailedPrecondition before the first seal; other
-  /// errors as PcorEngine::Release. Only successful releases are charged.
-  Result<ContinualRelease> ReleaseAsOfNow(uint32_t v_row,
-                                          const PcorOptions& options,
-                                          Rng* rng);
+  /// id) "as of now": against the latest sealed snapshot.
+  /// kFailedPrecondition before the first seal; other errors as
+  /// PcorEngine::Release.
+  Result<PcorRelease> ReleaseAsOfNow(uint32_t v_row, const PcorOptions& options,
+                                     Rng* rng);
 
   /// \brief Batch variant: pins one snapshot for the whole batch (batches
-  /// never straddle epochs), executes PcorEngine::ReleaseBatch, then
-  /// charges successful entries in entry order — deterministic for any
-  /// thread count. Entries carry epoch/stream fields;
-  /// `report.total_stream_epsilon_charged` sums the marginals. Before the
-  /// first seal every entry fails with kFailedPrecondition.
+  /// never straddle epochs) and executes PcorEngine::ReleaseBatch on it —
+  /// deterministic for any thread count. Before the first seal every
+  /// entry fails with kFailedPrecondition.
   BatchReleaseReport ReleaseBatchAsOfNow(
       std::span<const BatchRequest> requests, const PcorOptions& options,
       uint64_t seed, size_t num_threads = 0);
@@ -215,15 +181,10 @@ class StreamingPcorEngine {
 
   /// \brief The shared epoch-keyed memo (for stats and tests).
   const std::shared_ptr<VerifierMemo>& memo() const { return memo_; }
-  /// \brief The stream-level tree accountant (see class comment for how
-  /// it relates to the serving front-end's per-tenant ledgers).
-  const TreeAccountant& accountant() const { return accountant_; }
 
  private:
   /// \brief Schema validation shared by Append and AppendRows.
   Status ValidateRow(const std::vector<uint32_t>& codes) const;
-  /// \brief Annotates a successful release with its tree charge.
-  ContinualRelease ChargeAndAnnotate(PcorRelease release);
 
   Schema schema_;
   const OutlierDetector* detector_;
@@ -232,7 +193,6 @@ class StreamingPcorEngine {
   // One long-lived ReleaseBatch pool for every epoch engine of the stream;
   // a seal builds a new engine, never a new pool.
   std::shared_ptr<ThreadPool> release_pool_ = std::make_shared<ThreadPool>(0);
-  TreeAccountant accountant_;
 
   mutable std::mutex mu_;  // guards tail_, snapshot_, appends_, seals_
   std::vector<Row> tail_;

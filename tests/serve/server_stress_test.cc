@@ -3,6 +3,9 @@
 // exception propagation through futures, and admission after shutdown.
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -208,6 +211,57 @@ TEST_F(ServerStressTest, TenantDepthRejectionRefundsLikeOtherDoorRejections) {
   // Final ledger (up to the charge/refund round-trip residue): only the
   // two admitted requests kept their charge.
   EXPECT_NEAR(server.accountant().SpentBy("bounded"), 2 * 0.2, 1e-12);
+}
+
+TEST_F(ServerStressTest, RacingDoorRejectionsRefundEveryCharge) {
+  // Hammer admissions for ONE tenant from several threads against a tiny
+  // rejecting queue: door rejections race later index claims, so some
+  // returned indices cannot be handed back and are skipped. Whatever the
+  // interleaving, every rejected charge is refunded (the ledger holds
+  // exactly the admitted releases) and no two admitted requests share an
+  // Rng stream.
+  ServeOptions options = BaseOptions();
+  options.queue_capacity = 2;
+  options.max_batch = 2;
+  options.backpressure = BackpressurePolicy::kReject;
+  options.pre_batch_hook = [](std::span<const BatchRequest>) {
+    std::this_thread::sleep_for(milliseconds(1));
+  };
+  PcorServer server(engine_, options);
+
+  std::mutex futures_mu;
+  std::vector<Future<BatchEntry>> futures;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int k = 0; k < 40; ++k) {
+        auto submitted = server.SubmitAsync(OutlierRequest(), "hammer");
+        if (!submitted.ok()) {
+          EXPECT_TRUE(submitted.status().IsResourceExhausted())
+              << submitted.status().ToString();
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(futures_mu);
+        futures.push_back(std::move(submitted).value());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  ASSERT_GT(futures.size(), 0u);
+  std::set<uint64_t> seeds;
+  for (auto& future : futures) {
+    const BatchEntry entry = future.Get();
+    EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+    EXPECT_TRUE(seeds.insert(entry.rng_seed).second)
+        << "two admitted requests share an Rng stream";
+  }
+  server.Shutdown(/*drain=*/true);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, futures.size());
+  EXPECT_EQ(stats.submitted + stats.rejected_queue, 4u * 40u);
+  EXPECT_NEAR(server.accountant().SpentBy("hammer"),
+              static_cast<double>(futures.size()) * 0.2, 1e-9);
 }
 
 TEST_F(ServerStressTest, BlockPolicyNeverRejectsUnderPressure) {

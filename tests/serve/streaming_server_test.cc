@@ -1,21 +1,20 @@
 // Streaming-mode serving: SubmitAppend/SealEpoch grow the stream while
 // continual-release requests ride the classic admission pipeline. The
-// contracts under test: the default StreamingChargePolicy::kPerRelease
-// charges full per-release epsilon (the cap bounds sequential
-// composition) with the tree schedule as telemetry; the opt-in
-// kTreeSchedule charges pinned-price tree levels (requests above the
-// level price are rejected, burned slots keep their level charges, and a
-// fixed tenant cap admits strictly more continual releases than classic
-// charging); the determinism guarantee survives streaming (identical
-// append/seal/submit interleavings at epoch granularity are bit-identical
-// at any thread count); and no micro-batch straddles epochs.
+// contracts under test: every streaming release charges its full
+// effective epsilon, so a streaming and a classic server given the same
+// submissions hold identical ledgers, seeds and released contexts;
+// SubmitAppends is all-or-nothing; the determinism guarantee survives
+// streaming (identical append/seal/submit interleavings at epoch
+// granularity are bit-identical at any thread count); and no micro-batch
+// straddles epochs.
 #include "src/serve/server.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,14 +57,6 @@ class StreamingServerTest : public ::testing::Test {
     return options;
   }
 
-  // The opt-in tree-schedule variant; tests asserting tree arithmetic on
-  // the LEDGER use this, everything else runs under the sound default.
-  ServeOptions TreeOptions() const {
-    ServeOptions options = Options();
-    options.streaming_charge = StreamingChargePolicy::kTreeSchedule;
-    return options;
-  }
-
   // A stream sealed at exactly the classic fixture.
   void SeedStream(StreamingPcorEngine* stream) {
     ASSERT_TRUE(stream->AppendRows(GridRows(grid_.dataset)).ok());
@@ -87,7 +78,8 @@ TEST_F(StreamingServerTest, ClassicServerRejectsStreamingCalls) {
 
 TEST_F(StreamingServerTest, AppendsSealAndServeWithEpochAnnotations) {
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  PcorServer server(stream, TreeOptions());
+  const ServeOptions options = Options();
+  PcorServer server(stream, options);
   EXPECT_TRUE(server.streaming());
 
   ASSERT_TRUE(server.SubmitAppends(GridRows(grid_.dataset)).ok());
@@ -108,136 +100,80 @@ TEST_F(StreamingServerTest, AppendsSealAndServeWithEpochAnnotations) {
     const BatchEntry entry = futures[k].Get();
     ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
     EXPECT_EQ(entry.release.epoch, grid_.dataset.num_rows());
-    EXPECT_EQ(entry.release.stream_release_index, k + 1);
-    EXPECT_DOUBLE_EQ(entry.release.stream_epsilon_charged,
-                     TreeAccountant::MarginalFor(k + 1, 0.4));
+    EXPECT_EQ(entry.rng_seed,
+              PcorServer::RequestSeed(options.seed, "tenant", k));
   }
-  // The tenant ledger holds the tree-composed total, not 9 fresh budgets.
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"),
-                   TreeAccountant::CumulativeFor(9, 0.4));
+  // Every release paid its full epsilon: sequential composition.
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 9 * 0.4);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.appends, grid_.dataset.num_rows());
   EXPECT_EQ(stats.epochs_sealed, 1u);
   EXPECT_EQ(stats.epoch, grid_.dataset.num_rows());
   EXPECT_EQ(stats.released, 9u);
-  EXPECT_DOUBLE_EQ(stats.naive_epsilon_spent, 9 * 0.4);
-  EXPECT_LT(stats.epsilon_spent, stats.naive_epsilon_spent);
-  // Under kTreeSchedule the tree telemetry IS the ledger.
-  EXPECT_DOUBLE_EQ(stats.tree_epsilon_spent, stats.epsilon_spent);
+  EXPECT_DOUBLE_EQ(stats.epsilon_spent, 9 * 0.4);
+}
+
+TEST_F(StreamingServerTest, SubmitAppendsIsAllOrNothing) {
+  // A span with a bad row at index 2 must buffer nothing and count
+  // nothing — not the valid prefix before the bad row.
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  PcorServer server(stream, Options());
+  ASSERT_TRUE(server.SubmitAppend(Row{{0, 0}, 100.0}).ok());
+
+  std::vector<Row> span = {Row{{0, 1}, 101.0}, Row{{1, 0}, 102.0},
+                           Row{{0, 9}, 103.0},  // out of domain
+                           Row{{1, 1}, 104.0}};
+  EXPECT_TRUE(server.SubmitAppends(span).IsOutOfRange());
+  EXPECT_EQ(stream.buffered_rows(), 1u) << "span prefix leaked into tail";
+  EXPECT_EQ(server.stats().appends, 1u);
+
+  span[2] = Row{{0, 2}, 103.0};
+  ASSERT_TRUE(server.SubmitAppends(span).ok());
+  EXPECT_EQ(stream.buffered_rows(), 5u);
+  EXPECT_EQ(server.stats().appends, 5u);
 }
 
 TEST_F(StreamingServerTest, DefaultPolicyChargesFullEpsilonPerRelease) {
-  // The default streaming_charge is kPerRelease: the ledger grows by the
-  // full effective epsilon per release — exactly classic sequential
-  // composition, so per_client_epsilon_cap bounds actual DP loss — while
-  // the tree schedule is reported as advisory telemetry.
+  // Streaming admission charges each request its own effective epsilon,
+  // per-request overrides included, and the cap bounds the sum.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
   ServeOptions options = Options();
-  ASSERT_EQ(options.streaming_charge, StreamingChargePolicy::kPerRelease);
+  options.per_client_epsilon_cap = 2.0;
   PcorServer server(stream, options);
   SeedStream(&stream);
 
   BatchRequest request;
   request.v_row = grid_.v_row;
-  for (size_t k = 0; k < 5; ++k) {
-    auto submitted = server.SubmitAsync(request, "tenant");
-    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-    const BatchEntry entry = submitted->Get();
-    ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
-    EXPECT_EQ(entry.release.stream_release_index, k + 1);
-    // Every release paid full price — including non-power-of-two slots.
-    EXPECT_DOUBLE_EQ(entry.release.stream_epsilon_charged, 0.4);
-  }
-  const ServerStats stats = server.stats();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 5 * 0.4);
-  EXPECT_DOUBLE_EQ(stats.epsilon_spent, stats.naive_epsilon_spent);
-  EXPECT_DOUBLE_EQ(stats.tree_epsilon_spent,
-                   TreeAccountant::CumulativeFor(5, 0.4));
-  EXPECT_LT(stats.tree_epsilon_spent, stats.epsilon_spent);
+  BatchRequest expensive = request;
+  expensive.options = options.release;
+  expensive.options->total_epsilon = 1.0;
 
-  // And the cap means what it says: 5 * 0.4 spent, a 2.0 cap is full.
-  ServeOptions capped = Options();
-  capped.per_client_epsilon_cap = 2.0;
-  PcorServer capped_server(stream, capped);
+  auto first = server.SubmitAsync(expensive, "tenant");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->Get().status.ok());
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 1.0);
+
+  // 1.0 + 0.4 + 0.4 fits the 2.0 cap; a third 0.4 does not.
   size_t admitted = 0;
+  Status rejection = Status::OK();
   for (size_t k = 0; k < 8; ++k) {
-    auto submitted = capped_server.SubmitAsync(request, "tenant");
+    auto submitted = server.SubmitAsync(request, "tenant");
     if (!submitted.ok()) {
-      EXPECT_TRUE(submitted.status().IsPrivacyBudgetExceeded());
+      rejection = submitted.status();
       break;
     }
     ++admitted;
-    submitted->Get();
+    ASSERT_TRUE(submitted->Get().status.ok());
   }
-  EXPECT_EQ(admitted, 5u);
-}
-
-TEST_F(StreamingServerTest, TreeScheduleRejectsRequestsAboveLevelPrice) {
-  // The tree schedule prices levels, not requests: without the ceiling a
-  // tenant could open levels with tiny-eps requests and ride arbitrarily
-  // expensive releases at marginal 0. Over-price requests must be
-  // rejected before anything is charged or sequenced.
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  PcorServer server(stream, TreeOptions());
-  SeedStream(&stream);
-
-  BatchRequest cheap;
-  cheap.v_row = grid_.v_row;
-  cheap.options = TreeOptions().release;
-  cheap.options->total_epsilon = 0.05;  // below the 0.4 level price
-
-  BatchRequest expensive = cheap;
-  expensive.options->total_epsilon = 3.0;  // way above the level price
-
-  // A cheap request may open the level, but the level still costs its
-  // full pinned price — cheap openers cannot discount later releases.
-  auto opened = server.SubmitAsync(cheap, "t");
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  opened->Get();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.4);
-
-  // The expensive request is rejected at any position, charged nothing,
-  // and consumes no stream slot.
-  auto rejected = server.SubmitAsync(expensive, "t");
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsInvalidArgument())
-      << rejected.status().ToString();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.4);
-  EXPECT_EQ(server.stats().rejected_invalid, 1u);
-  auto next = server.SubmitAsync(cheap, "t");
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->Get().release.stream_release_index, 2u);
-
-  // A tenant registered with a higher level price may submit up to it —
-  // and pays levels at that price. The price pins at stream start, so
-  // register BEFORE the tenant's first submission.
-  TenantConfig config;
-  config.stream_level_epsilon = 3.0;
-  ASSERT_TRUE(server.RegisterTenant("vip", config).ok());
-  auto vip = server.SubmitAsync(expensive, "vip");
-  ASSERT_TRUE(vip.ok()) << vip.status().ToString();
-  vip->Get();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("vip"), 3.0);
-
-  // Re-registering with a cheaper price cannot re-price a started
-  // stream: "t" already bought levels at 0.4 and its next level still
-  // costs 0.4.
-  TenantConfig cheaper;
-  cheaper.stream_level_epsilon = 0.01;
-  ASSERT_TRUE(server.RegisterTenant("t", cheaper).ok());
-  auto second_level = server.SubmitAsync(cheap, "t");  // position 3
-  ASSERT_TRUE(second_level.ok());
-  auto third_level = server.SubmitAsync(cheap, "t");  // position 4: level 3
-  ASSERT_TRUE(third_level.ok());
-  second_level->Get();
-  third_level->Get();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"),
-                   TreeAccountant::CumulativeFor(4, 0.4));
+  EXPECT_EQ(admitted, 2u);
+  EXPECT_TRUE(rejection.IsPrivacyBudgetExceeded()) << rejection.ToString();
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 1.8);
+  EXPECT_EQ(server.stats().rejected_budget, 1u);
 }
 
 TEST_F(StreamingServerTest, RequestsBeforeFirstSealFailTypedAndCharged) {
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  PcorServer server(stream, TreeOptions());
+  PcorServer server(stream, Options());
   BatchRequest request;
   request.v_row = 0;
   auto submitted = server.SubmitAsync(request, "early");
@@ -245,63 +181,17 @@ TEST_F(StreamingServerTest, RequestsBeforeFirstSealFailTypedAndCharged) {
   const BatchEntry entry = submitted->Get();
   EXPECT_TRUE(entry.status.IsFailedPrecondition())
       << entry.status.ToString();
-  // Dispatched work keeps its admission charge (the slot is burned;
-  // over-charging is the safe direction).
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("early"),
-                   TreeAccountant::MarginalFor(1, 0.4));
-}
-
-TEST_F(StreamingServerTest, TreeCapAdmitsExponentiallyMoreThanNaive) {
-  // Cap of 1.3 at eps 0.4 per release: classic charging admits 3 requests
-  // (3 * 0.4 = 1.2 <= 1.3 < 1.6). The tree schedule pays only when a level
-  // opens — positions 1, 2, 4 charge 0.4 each (cumulative 1.2) and
-  // positions 3, 5, 6, 7 ride free, so admission first fails at t = 8
-  // (the 4th level would push the ledger to 1.6 > 1.3): 7 admissions.
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = TreeOptions();
-  options.per_client_epsilon_cap = 1.3;
-  PcorServer server(stream, options);
-  SeedStream(&stream);
-
-  BatchRequest request;
-  request.v_row = grid_.v_row;
-  size_t admitted = 0;
-  Status first_rejection = Status::OK();
-  for (size_t k = 0; k < 16; ++k) {
-    auto submitted = server.SubmitAsync(request, "capped");
-    if (!submitted.ok()) {
-      first_rejection = submitted.status();
-      break;
-    }
-    ++admitted;
-    // Drain each future so rejections can't be queue artifacts.
-    submitted->Get();
-  }
-  EXPECT_EQ(admitted, 7u);
-  EXPECT_TRUE(first_rejection.IsPrivacyBudgetExceeded())
-      << first_rejection.ToString();
-
-  // Classic mode under the same cap stops at 3.
-  PcorEngine engine(grid_.dataset, detector_);
-  PcorServer classic(engine, options);
-  size_t classic_admitted = 0;
-  for (size_t k = 0; k < 16; ++k) {
-    auto submitted = classic.SubmitAsync(request, "capped");
-    if (!submitted.ok()) break;
-    ++classic_admitted;
-    submitted->Get();
-  }
-  EXPECT_EQ(classic_admitted, 3u);
-  EXPECT_GT(admitted, classic_admitted);
+  // Dispatched work keeps its admission charge (over-charging is the safe
+  // direction).
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("early"), 0.4);
 }
 
 TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
-  // A rejected charge must hand the slot back: the next admitted request
-  // reuses position t (and its seed), so seeds stay dense and the tree
-  // schedule stays aligned with actual admissions.
+  // A rejected charge claims no Rng stream index: the next admitted
+  // request takes index 1 (and its seed), so seeds stay dense.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = TreeOptions();
-  options.per_client_epsilon_cap = 0.4;  // one level only
+  ServeOptions options = Options();
+  options.per_client_epsilon_cap = 0.4;  // one release only
   PcorServer server(stream, options);
   SeedStream(&stream);
 
@@ -309,16 +199,17 @@ TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
   request.v_row = grid_.v_row;
   auto first = server.SubmitAsync(request, "t");
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->Get().release.stream_release_index, 1u);
+  EXPECT_EQ(first->Get().rng_seed,
+            PcorServer::RequestSeed(options.seed, "t", 0));
 
-  // Position 2 opens level 2: rejected at the 0.4 cap, slot returned.
   auto rejected = server.SubmitAsync(request, "t");
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsPrivacyBudgetExceeded());
   EXPECT_EQ(server.stats().rejected_budget, 1u);
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.4);
 
-  // Raising the tenant cap admits the retry at position 2 — the same
-  // stream position the rejection briefly claimed.
+  // Raising the tenant cap admits the retry at index 1 — the index the
+  // rejection never took.
   TenantConfig config;
   config.epsilon_cap = 10.0;
   ASSERT_TRUE(server.RegisterTenant("t", config).ok());
@@ -326,62 +217,127 @@ TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   const BatchEntry entry = retried->Get();
   ASSERT_TRUE(entry.status.ok());
-  EXPECT_EQ(entry.release.stream_release_index, 2u);
-  EXPECT_EQ(entry.rng_seed,
-            PcorServer::RequestSeed(options.seed, "t", 1));
+  EXPECT_EQ(entry.rng_seed, PcorServer::RequestSeed(options.seed, "t", 1));
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.8);
 }
 
-TEST_F(StreamingServerTest, BurnedSlotsNeverDiscountUnpaidLevels) {
-  // Hammer admissions for ONE tenant from several threads against a tiny
-  // rejecting queue: door rejections race later slot claims, so some
-  // slots burn. The invariant that must survive (the under-charge fix):
-  // the tenant's ledger always equals paid-levels times level price —
-  // every marginal-0 admission rode a level somebody actually paid for,
-  // because burned level-opening slots keep their charges and returned
-  // ones give both the charge and the levels back.
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = TreeOptions();
-  options.queue_capacity = 2;
-  options.max_batch = 2;
-  options.backpressure = BackpressurePolicy::kReject;
-  options.pre_batch_hook = [](std::span<const BatchRequest>) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
-  PcorServer server(stream, options);
-  SeedStream(&stream);
+// What one server made of the parity plan below.
+struct ParityRun {
+  std::string admissions;           // status names, in submission order
+  std::vector<BatchEntry> entries;  // the admitted ones, in order
+  double spent_a = 0.0;
+  double spent_b = 0.0;
+  ServerStats stats;
+};
 
-  BatchRequest request;
-  request.v_row = grid_.v_row;
-  std::atomic<size_t> admitted{0};
-  std::mutex futures_mu;
-  std::vector<Future<BatchEntry>> futures;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 40; ++k) {
-        auto submitted = server.SubmitAsync(request, "hammer");
-        if (!submitted.ok()) continue;
-        ++admitted;
-        std::lock_guard<std::mutex> lock(futures_mu);
-        futures.push_back(std::move(submitted).value());
+TEST_F(StreamingServerTest, SingleAdmissionPathMatchesClassicServer) {
+  // A classic server and a streaming server over the same (fully sealed)
+  // rows take one per-tenant submission sequence, including a queue-full
+  // door rejection under kReject and budget-cap rejections. Both servers
+  // admit through the same path, so seeds, ledgers, refunds and released
+  // contexts must agree bit for bit.
+  auto drive = [&](auto make_server) {
+    std::atomic<bool> gate{false};
+    std::atomic<size_t> started{0};
+    ServeOptions options = Options();
+    options.per_client_epsilon_cap = 1.0;  // two 0.4 releases, not three
+    options.queue_capacity = 1;
+    options.max_batch = 1;
+    options.max_delay_us = 0;
+    options.backpressure = BackpressurePolicy::kReject;
+    options.pre_batch_hook = [&](std::span<const BatchRequest>) {
+      started.fetch_add(1);
+      while (!gate.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  ASSERT_GT(admitted.load(), 0u);
-  uint64_t max_index = 0;
-  for (auto& future : futures) {
-    const BatchEntry entry = future.Get();
-    if (entry.status.ok()) {
-      max_index = std::max(max_index, entry.release.stream_release_index);
-    }
-  }
-  server.Shutdown(/*drain=*/true);
+    };
+    std::unique_ptr<PcorServer> server = make_server(options);
 
-  const ServerStats stats = server.stats();
-  const double spent = server.accountant().SpentBy("hammer");
-  EXPECT_NEAR(spent, stats.tree_epsilon_spent, 1e-9);
-  EXPECT_GE(spent + 1e-9, TreeAccountant::CumulativeFor(max_index, 0.4));
+    ParityRun run;
+    BatchRequest request;
+    request.v_row = grid_.v_row;
+    BatchRequest cheaper = request;
+    cheaper.options = options.release;
+    cheaper.options->total_epsilon = 0.3;
+    std::vector<Future<BatchEntry>> futures;
+    auto submit = [&](const BatchRequest& r, const char* tenant) {
+      auto submitted = server->SubmitAsync(r, tenant);
+      if (!run.admissions.empty()) run.admissions += ' ';
+      run.admissions += StatusCodeToString(submitted.status().code());
+      if (submitted.ok()) futures.push_back(std::move(submitted).value());
+    };
+    auto collect = [&] {
+      for (auto& future : futures) run.entries.push_back(future.Get());
+      futures.clear();
+    };
+
+    submit(request, "a");  // dispatched, then held at the gate
+    while (started.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    submit(request, "a");  // fills the one-slot queue
+    submit(request, "b");  // queue full: refunded, index handed back
+    submit(request, "a");  // 0.8 + 0.4 > 1.0
+    gate.store(true);
+    collect();
+    submit(request, "b");  // takes b's returned index 0
+    collect();
+    submit(cheaper, "b");  // pays its own 0.3
+    collect();
+    submit(request, "b");  // 0.7 + 0.4 > 1.0
+    server->Shutdown();
+    run.spent_a = server->accountant().SpentBy("a");
+    run.spent_b = server->accountant().SpentBy("b");
+    run.stats = server->stats();
+    return run;
+  };
+
+  PcorEngine engine(grid_.dataset, detector_);
+  const ParityRun classic = drive([&](const ServeOptions& options) {
+    return std::make_unique<PcorServer>(engine, options);
+  });
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  SeedStream(&stream);
+  const ParityRun streamed = drive([&](const ServeOptions& options) {
+    return std::make_unique<PcorServer>(stream, options);
+  });
+
+  const std::string want =
+      "OK OK ResourceExhausted PrivacyBudgetExceeded OK OK "
+      "PrivacyBudgetExceeded";
+  EXPECT_EQ(classic.admissions, want);
+  EXPECT_EQ(streamed.admissions, want);
+  ASSERT_EQ(classic.entries.size(), 4u);
+  ASSERT_EQ(streamed.entries.size(), classic.entries.size());
+  EXPECT_EQ(classic.entries[2].rng_seed,
+            PcorServer::RequestSeed(Options().seed, "b", 0));
+  for (size_t i = 0; i < classic.entries.size(); ++i) {
+    SCOPED_TRACE(i);
+    const BatchEntry& a = classic.entries[i];
+    const BatchEntry& b = streamed.entries[i];
+    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+    EXPECT_EQ(a.rng_seed, b.rng_seed);
+    EXPECT_EQ(a.release.context, b.release.context);
+    EXPECT_EQ(a.release.description, b.release.description);
+    EXPECT_EQ(a.release.utility_score, b.release.utility_score);
+    EXPECT_EQ(a.release.epsilon_spent, b.release.epsilon_spent);
+    EXPECT_EQ(a.release.probes, b.release.probes);
+    EXPECT_EQ(a.release.epoch, b.release.epoch);
+  }
+  // Identical ledgers, refunds included: b's door-rejected charge came
+  // back in both, and neither kept a budget-rejected charge.
+  EXPECT_EQ(classic.spent_a, streamed.spent_a);
+  EXPECT_EQ(classic.spent_b, streamed.spent_b);
+  EXPECT_DOUBLE_EQ(classic.spent_a, 0.8);
+  EXPECT_DOUBLE_EQ(classic.spent_b, 0.7);
+  for (const ServerStats* stats : {&classic.stats, &streamed.stats}) {
+    EXPECT_EQ(stats->submitted, 4u);
+    EXPECT_EQ(stats->released, 4u);
+    EXPECT_EQ(stats->rejected_queue, 1u);
+    EXPECT_EQ(stats->rejected_budget, 2u);
+  }
+  EXPECT_EQ(classic.stats.epsilon_spent, streamed.stats.epsilon_spent);
 }
 
 TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
@@ -389,7 +345,8 @@ TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
   // same per-tenant plan raced from many client threads against a server
   // with 16 release threads. Epoch-granular interleaving is identical
   // (all appends sealed before any submission), so every (tenant, k)
-  // release must be bit-identical.
+  // release must be bit-identical, and every tenant ledger holds exactly
+  // its releases' epsilons.
   constexpr size_t kTenants = 6;
   constexpr size_t kPerTenant = 5;
   using Key = std::pair<std::string, size_t>;
@@ -429,6 +386,10 @@ TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
       for (size_t t = 0; t < kTenants; ++t) submit_plan(t);
     }
     server.Shutdown(/*drain=*/true);
+    for (size_t t = 0; t < kTenants; ++t) {
+      const std::string id = strings::Format("tenant%zu", t);
+      EXPECT_DOUBLE_EQ(server.accountant().SpentBy(id), kPerTenant * 0.4);
+    }
     return results;
   };
 
@@ -451,9 +412,7 @@ TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(a.release.utility_score, b.release.utility_score);
     EXPECT_EQ(a.release.probes, b.release.probes);
     EXPECT_EQ(a.release.epoch, b.release.epoch);
-    EXPECT_EQ(a.release.stream_release_index, b.release.stream_release_index);
-    EXPECT_DOUBLE_EQ(a.release.stream_epsilon_charged,
-                     b.release.stream_epsilon_charged);
+    EXPECT_DOUBLE_EQ(a.release.epsilon_spent, b.release.epsilon_spent);
   }
 }
 
